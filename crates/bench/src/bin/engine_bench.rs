@@ -4,7 +4,7 @@
 //! results to `BENCH_engine.json` so the engine gets the same perf
 //! trajectory tracking as `BENCH_table.json` and `BENCH_sim.json`.
 //!
-//! Three sections:
+//! Six sections:
 //!
 //! * `pipeline` — a synthetic chain of pass-through elements with fan-out,
 //!   no tables or PEL. This isolates the engine's per-handoff cost: queue
@@ -22,8 +22,11 @@
 //!   `MatView`'s delta-driven provenance maintenance versus recomputing
 //!   the two-table join from scratch at every poke.
 //! * `agg_probe` — the delta-fed aggregation probe: per-event cost of
-//!   `AggProbe`'s cached per-group contributions versus the counted full
-//!   scan it replaces.
+//!   `AggProbe` evaluating once per distinct projection of the read row
+//!   columns over its table mirror, versus the counted full scan with
+//!   per-row evaluation it replaces; one case per shape (all rows
+//!   distinct under one event class, and Chord's finger table: 160 rows,
+//!   10 distinct successors, a new event class per probe).
 //!
 //! The binary also smoke-asserts the strand path: the shared Chord plan
 //! must contain fused strands, and the `chord_deliver` section exercises
@@ -557,7 +560,10 @@ fn bench_mat_view(rows: usize, groups: i64, mutations: u64) -> MatViewResult {
 
 #[derive(Debug, Clone, Serialize)]
 struct AggProbeResult {
+    case: &'static str,
     rows: usize,
+    /// Distinct values among the row columns the probe's programs read.
+    distinct_read_values: usize,
     events: u64,
     incremental_wall_secs: f64,
     incremental_ns_per_event: f64,
@@ -566,19 +572,69 @@ struct AggProbeResult {
     speedup: f64,
 }
 
-/// Measures aggregation-probe cost under a mutate-then-probe churn
-/// (Chord's L2/SU1 shape): `rows` table rows, each step replaces one row
-/// (Delete+Insert deltas) and delivers a probe event, aggregating
-/// MIN(V - K) over the rows passing `B > K`. The delta-fed probe folds
-/// its cached per-group contributions; the baseline pays a counted full
-/// scan with per-row PEL evaluation.
-fn bench_agg_probe(rows: usize, events: u64) -> AggProbeResult {
+/// The table and event shapes of an `agg_probe` case.
+#[derive(Debug, Clone, Copy)]
+enum ProbeShape {
+    /// `row(B, V)` keyed by the read column `B`, so every row is distinct;
+    /// one fixed event. The probe aggregates MIN(V - K) over `B > K`.
+    SingleClassAllDistinct,
+    /// Chord's finger table: `row(I, B)` keyed by the unread index `I`,
+    /// with `distinct` values of the read successor id `B`; every event
+    /// carries a new key `K` (a new event class per probe). The probe
+    /// aggregates MIN(B - K) over `B > K`.
+    Finger { distinct: usize },
+}
+
+impl ProbeShape {
+    fn name(self) -> &'static str {
+        match self {
+            ProbeShape::SingleClassAllDistinct => "single_class_all_distinct",
+            ProbeShape::Finger { .. } => "finger",
+        }
+    }
+}
+
+/// Measures aggregation-probe cost under a mutate-then-probe churn: each
+/// step replaces one of `rows` table rows (Delete+Insert deltas) and
+/// delivers a probe event. The delta-fed probe evaluates its programs
+/// once per distinct projection of the read row columns and folds the
+/// mirrored rows; the baseline pays a counted full scan with per-row PEL
+/// evaluation.
+fn bench_agg_probe(shape: ProbeShape, rows: usize, events: u64) -> AggProbeResult {
+    let (filter, agg_expr, distinct_read_values) = match shape {
+        ProbeShape::SingleClassAllDistinct => (
+            Expr::bin(BinOp::Gt, Expr::Field(1), Expr::Field(0)),
+            Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)),
+            rows,
+        ),
+        ProbeShape::Finger { distinct } => (
+            Expr::bin(BinOp::Gt, Expr::Field(2), Expr::Field(0)),
+            Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)),
+            distinct,
+        ),
+    };
+    // Row `key` at mutation step `i` (step 0 fills the table).
+    let mk = |key: usize, i: u64| match shape {
+        ProbeShape::SingleClassAllDistinct => {
+            Tuple::new("row", vec![Value::Int(key as i64), Value::Int(i as i64)])
+        }
+        ProbeShape::Finger { distinct } => {
+            let b = (key as u64 + i * 7) % distinct as u64 * 100;
+            Tuple::new("row", vec![Value::Int(key as i64), Value::Int(b as i64)])
+        }
+    };
+    let event = |i: u64| match shape {
+        ProbeShape::SingleClassAllDistinct => TupleBuilder::new("ev").push(2i64).build(),
+        ProbeShape::Finger { distinct } => TupleBuilder::new("ev")
+            .push((i * 37 % (distinct as u64 * 100)) as i64)
+            .build(),
+    };
     let run = |incremental: bool| -> f64 {
         let table: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(Table::new(
             TableSpec::new("row", vec![0]),
         )));
-        let filter = Program::compile(&Expr::bin(BinOp::Gt, Expr::Field(1), Expr::Field(0)));
-        let agg_expr = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)));
+        let filter = Program::compile(&filter);
+        let agg_expr = Program::compile(&agg_expr);
         let probe: Box<dyn Element> = if incremental {
             Box::new(AggProbe::new_incremental(
                 table.clone(),
@@ -587,6 +643,7 @@ fn bench_agg_probe(rows: usize, events: u64) -> AggProbeResult {
                 Some(filter),
                 agg_expr,
                 "out",
+                1,
             ))
         } else {
             Box::new(AggProbe::new(
@@ -618,25 +675,23 @@ fn bench_agg_probe(rows: usize, events: u64) -> AggProbeResult {
             port: 0,
         });
         engine.start(SimTime::ZERO);
-        let mk = |key: usize, payload: i64| {
-            Tuple::new("row", vec![Value::Int(key as i64), Value::Int(payload)])
-        };
         for key in 0..rows {
             engine.deliver(mk(key, 0), SimTime::from_secs(1));
         }
-        let event = TupleBuilder::new("ev").push(2i64).build();
         let start = Instant::now();
         for i in 0..events {
             let key = (i as usize) % rows;
-            engine.deliver(mk(key, i as i64 + 1), SimTime::from_secs(2));
-            engine.deliver(event.clone(), SimTime::from_secs(2));
+            engine.deliver(mk(key, i + 1), SimTime::from_secs(2));
+            engine.deliver(event(i), SimTime::from_secs(2));
         }
         start.elapsed().as_secs_f64()
     };
     let incremental_wall_secs = run(true);
     let scan_wall_secs = run(false);
     AggProbeResult {
+        case: shape.name(),
         rows,
+        distinct_read_values,
         events,
         incremental_wall_secs,
         incremental_ns_per_event: incremental_wall_secs * 1e9 / events.max(1) as f64,
@@ -756,9 +811,17 @@ fn main() {
 
     let mut agg_probe = Vec::new();
     let probe_events = mutations / 2;
-    for rows in [rows / 10, rows] {
-        eprintln!("agg probe: {rows} rows, {probe_events} mutate+probe events...");
-        let r = bench_agg_probe(rows, probe_events);
+    let cases = [
+        (ProbeShape::SingleClassAllDistinct, rows / 10),
+        (ProbeShape::SingleClassAllDistinct, rows),
+        (ProbeShape::Finger { distinct: 10 }, 160),
+    ];
+    for (shape, rows) in cases {
+        eprintln!(
+            "agg probe ({}): {rows} rows, {probe_events} mutate+probe events...",
+            shape.name()
+        );
+        let r = bench_agg_probe(shape, rows, probe_events);
         eprintln!(
             "  incremental {:>7.0} ns/event vs scan {:>8.0} ns/event: {:.1}x",
             r.incremental_ns_per_event, r.scan_ns_per_event, r.speedup

@@ -30,9 +30,17 @@
 //!   retractions on the port past the triggers (left unwired in the shipped
 //!   plan).
 //! * An in-strand [`AggProbe`] whose filter and aggregate programs are pure
-//!   becomes **delta-fed**: per-event-class contribution state maintained
-//!   from the table's delta stream replaces the counted full scan per
-//!   event, with a scan-identical rebuild fallback on delta-log overflow.
+//!   becomes **delta-fed**: a mirror of the table maintained from its
+//!   delta stream replaces the counted full scan per event, and the
+//!   programs run once per distinct projection of the row columns they
+//!   read instead of once per row (Chord's L2/L3 finger probes: ~10
+//!   evaluations per lookup hop instead of ~160). The planner fixes those
+//!   columns from the event arity at the aggregate (`base`). The result is
+//!   exact — the scan's emissions bit for bit — because the programs are
+//!   pure, read fields only through `Load`, share a projection only on
+//!   strictly equal values (same variant and payload), and the rows are
+//!   still folded one by one in scan order. Delta-log overflow rebuilds
+//!   the mirror from a counted scan.
 //!
 //! Both consume pooled per-table [`DeltaSubscription`]s created in
 //! [`PlannedProgram::instantiate`]. [`PlanConfig::without_views`] is the
@@ -197,7 +205,7 @@ pub struct PlanConfig {
     /// Whether the plan is lowered incrementally: pure-join table rules
     /// become [`MatView`] elements maintained from their trigger tables'
     /// delta streams, and eligible aggregation probes run delta-fed
-    /// ([`AggProbe::with_subscription`]) instead of rescanning per event.
+    /// ([`AggProbe::delta_fed`]) instead of rescanning per event.
     /// On by default; [`PlanConfig::without_views`] restores the
     /// recompute-everything lowering (used by the view-equivalence gate
     /// and as the escape hatch if a maintenance bug surfaces).
@@ -327,13 +335,15 @@ enum ElementSpec {
         fields: Vec<PelProgram>,
     },
     /// Per-event aggregation probe over a table. `incremental` probes are
-    /// fed from a pooled delta subscription and keep per-group aggregate
-    /// state alive across events instead of rescanning; it is set only
-    /// when the plan materializes views and the programs are pure
+    /// fed from a pooled delta subscription and keep a mirror of the table
+    /// instead of rescanning, evaluating their programs once per distinct
+    /// projection of the row columns read past `event_arity`; it is set
+    /// only when the plan materializes views and the programs are pure
     /// (`AggProbe::can_increment`).
     AggProbe {
         table: usize,
         table_arity: usize,
+        event_arity: usize,
         func: AggFunc,
         filter: Option<PelProgram>,
         agg_expr: PelProgram,
@@ -668,31 +678,25 @@ impl PlannedProgram {
                 ElementSpec::AggProbe {
                     table,
                     table_arity,
+                    event_arity,
                     func,
                     filter,
                     agg_expr,
                     out_name,
                     incremental,
                 } => {
+                    let probe = AggProbe::new(
+                        refs[*table].clone(),
+                        *table_arity,
+                        *func,
+                        filter.clone(),
+                        agg_expr.clone(),
+                        out_name.to_string(),
+                    );
                     if *incremental {
-                        Box::new(AggProbe::with_subscription(
-                            refs[*table].clone(),
-                            *table_arity,
-                            *func,
-                            filter.clone(),
-                            agg_expr.clone(),
-                            out_name.to_string(),
-                            take_sub(*table),
-                        ))
+                        Box::new(probe.delta_fed(take_sub(*table), *event_arity))
                     } else {
-                        Box::new(AggProbe::new(
-                            refs[*table].clone(),
-                            *table_arity,
-                            *func,
-                            filter.clone(),
-                            agg_expr.clone(),
-                            out_name.to_string(),
-                        ))
+                        Box::new(probe)
                     }
                 }
                 ElementSpec::TableAgg {
@@ -1935,7 +1939,7 @@ impl<'a> Builder<'a> {
             };
             let agg_expr = PelProgram::compile(&agg_expr);
             // Rule-level purity subsumes the per-program `can_increment`
-            // scan (the debug_assert in `AggProbe::with_subscription`
+            // scan (the debug_assert in `AggProbe::delta_fed`
             // still cross-checks the compiled programs).
             let incremental = self.config.materialize_views && self.current_class.pure;
             debug_assert!(!incremental || AggProbe::can_increment(&filter, &agg_expr));
@@ -1944,6 +1948,7 @@ impl<'a> Builder<'a> {
                 spec: ElementSpec::AggProbe {
                     table,
                     table_arity: pred.args.len(),
+                    event_arity: base,
                     func: aggp.spec.func,
                     filter,
                     agg_expr,

@@ -24,6 +24,7 @@
 //! (integer contributions — every shipped aggregate — are exact).
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use p2_pel::{EvalContext, Program};
 use p2_table::{
@@ -175,21 +176,38 @@ impl Element for Delete {
 ///
 /// # Delta-fed mode
 ///
-/// A probe built through [`AggProbe::with_subscription`] /
-/// [`AggProbe::new_incremental`] stops rescanning the table per event.
-/// It keeps a `RowId`-sorted **mirror** of the table maintained from the
-/// delta stream, plus per-*event-class* contribution lists: two events
-/// that agree on every field the filter and aggregate expression actually
-/// read (and on arity) compute identical per-row results, so they share
-/// one cached [`ProbeGroup`]. A probe then folds the group's precomputed
-/// `(RowId, value)` contributions — already in scan order — through the
-/// very same witness/accumulate/finish logic as the scan path, which keeps
-/// emissions bit-for-bit identical. Delta-queue overflow or any state
-/// incoherence falls back to a counted full scan
-/// ([`p2_table::Table::scan_rows_counted`]) and reports the rebuild via
-/// [`p2_table::Table::note_rebuild`]. Expressions that read the RNG or the
-/// clock are not pure functions of their inputs, so such probes refuse the
-/// cache (see [`AggProbe::can_increment`]) and stay on the scan path.
+/// A probe made delta-fed by [`AggProbe::delta_fed`] /
+/// [`AggProbe::new_incremental`] stops rescanning the table per event. It
+/// keeps a `RowId`-sorted **mirror** of the table, maintained from the
+/// table's delta stream, and interns every mirrored row's **projection**:
+/// its values at the row columns the filter and aggregate expression read.
+/// Rows with the same projection share one slot, holding a representative
+/// row and a live count. Per event, the programs run once per live slot,
+/// against its representative; the rows are then folded in `RowId` order
+/// (the table's scan order), each reading its slot's result, through the
+/// scan path's witness/accumulate/finish logic. Chord's finger table holds
+/// ~160 rows but only ~10 distinct successors, so a lookup hop runs the
+/// programs ~10 times instead of ~160.
+///
+/// Emissions are bit-for-bit those of the scan path under four conditions:
+///
+/// * **pure programs** — no RNG or clock reads ([`AggProbe::can_increment`]),
+///   so a program's result is a function of the values it loads;
+/// * **`Load`-only field reads** — the programs reach the joined tuple only
+///   through `Op::Load`, so the `Load` indices past the (planned) event
+///   arity name every row column that can affect a row's result;
+/// * **strict keys** — projections share a slot only when every column has
+///   the same `Value` variant and payload (or is missing in both rows);
+///   `Value::eq` is too weak, as it equates `Int(1)`, `Double(1.0)` and
+///   `Id(1)`, which the programs can tell apart;
+/// * **fold in scan order** — rows are still folded one at a time in
+///   `RowId` order, so witness ties and floating-point `sum`/`avg`
+///   accumulate exactly as in the scan.
+///
+/// An event whose arity is not the planned one takes the scan path.
+/// Delta-queue overflow or any mirror incoherence rebuilds the mirror from
+/// a counted full scan ([`p2_table::Table::scan_rows_counted`]) and reports
+/// it via [`p2_table::Table::note_rebuild`].
 pub struct AggProbe {
     table: TableRef,
     table_arity: usize,
@@ -201,44 +219,130 @@ pub struct AggProbe {
     inc: Option<ProbeCache>,
 }
 
-/// Bound on the per-event-class groups a delta-fed [`AggProbe`] keeps
-/// alive; beyond it the least-recently-probed group is replaced. Chord's
-/// hot probes (SU1's best-successor scan) use a single class per node, so
-/// the cap only matters for per-lookup classes (L2), where the group is
-/// rebuilt from the mirror instead of from a table scan.
-const MAX_PROBE_GROUPS: usize = 8;
-
-/// Contribution state for one class of event tuples (same arity, same
-/// values at every field the probe's programs read).
-struct ProbeGroup {
-    /// `(event arity, referenced-field projection)` identifying the class.
-    key: (usize, Vec<Value>),
-    /// Representative event; delta-time evaluations join rows against it.
-    event: Tuple,
-    /// `(row, value)` for every mirror row passing the filter, ascending
-    /// `RowId` — exactly the table's scan order.
-    contribs: Vec<(RowId, Value)>,
-    /// Tick of the last probe that used this group (LRU replacement).
-    last_used: u64,
-}
-
 /// The delta-fed half of an [`AggProbe`].
 struct ProbeCache {
     sub: DeltaSubscription,
-    /// `RowId`-sorted mirror of the aggregate table.
-    rows: Vec<(RowId, Tuple)>,
-    groups: Vec<ProbeGroup>,
-    /// Sorted field indices the filter and aggregate expression read.
-    refs: Vec<usize>,
+    /// Arity of the events the plan feeds the probe; the projection's
+    /// column choice assumes it.
+    event_arity: usize,
+    /// `RowId`-sorted mirror of the aggregate table, each row with its
+    /// projection slot.
+    rows: Vec<(RowId, Tuple, usize)>,
+    projections: Projections,
     needs_rebuild: bool,
     /// False until the first mirror build (which is initialization, not a
     /// fallback, and therefore not reported via `note_rebuild`).
     built: bool,
     /// Reused delta drain buffer.
     scratch: Vec<TableDelta>,
-    /// Reused class-key buffer (group hits allocate nothing).
-    key_scratch: Vec<Value>,
-    tick: u64,
+    /// Reused per-event contribution of every slot (`None`: no
+    /// contribution, or a free slot).
+    values: Vec<Option<Value>>,
+}
+
+/// The distinct projections of a probe's mirrored rows, interned into
+/// reusable slots.
+struct Projections {
+    /// Sorted row columns the filter and aggregate expression read.
+    cols: Vec<usize>,
+    slots: Vec<Slot>,
+    /// Projection → slot, for live slots.
+    index: HashMap<Projection, usize>,
+    /// Slots whose last row went away, reused before growing `slots`.
+    free: Vec<usize>,
+}
+
+/// One distinct projection: a row that has it, and how many mirrored rows
+/// do (0 for a free slot).
+struct Slot {
+    rep: Tuple,
+    live: usize,
+}
+
+/// A row's values at the read columns (`None` past the row's end), with
+/// strict equality: same `Value` variant and same payload.
+struct Projection(Vec<Option<Value>>);
+
+impl PartialEq for Projection {
+    fn eq(&self, other: &Self) -> bool {
+        // Within one variant `Value::eq` compares payloads exactly
+        // (doubles by `total_cmp`, i.e. bit pattern).
+        let strict = |a: &Option<Value>, b: &Option<Value>| match (a, b) {
+            (Some(a), Some(b)) => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+            _ => a.is_none() && b.is_none(),
+        };
+        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| strict(a, b))
+    }
+}
+
+impl Eq for Projection {}
+
+impl Hash for Projection {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Strictly equal values are `Value::eq`-equal, whose hashes agree.
+        self.0.hash(state);
+    }
+}
+
+impl Projections {
+    fn new(cols: Vec<usize>) -> Projections {
+        Projections {
+            cols,
+            slots: Vec::new(),
+            index: HashMap::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn key(&self, row: &Tuple) -> Projection {
+        Projection(
+            self.cols
+                .iter()
+                .map(|&c| row.get(c).ok().cloned())
+                .collect(),
+        )
+    }
+
+    /// Counts one more row with `row`'s projection, returning its slot.
+    fn intern(&mut self, row: &Tuple) -> usize {
+        let key = self.key(row);
+        if let Some(&slot) = self.index.get(&key) {
+            self.slots[slot].live += 1;
+            return slot;
+        }
+        let entry = Slot {
+            rep: row.clone(),
+            live: 1,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(key, slot);
+        slot
+    }
+
+    /// Counts one row fewer in `slot`, freeing the slot with its last row.
+    fn release(&mut self, slot: usize) {
+        self.slots[slot].live -= 1;
+        if self.slots[slot].live == 0 {
+            let key = self.key(&self.slots[slot].rep);
+            self.index.remove(&key);
+            self.free.push(slot);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        self.free.clear();
+    }
 }
 
 /// Evaluates one row's contribution against `event ++ row`, replicating
@@ -283,64 +387,51 @@ impl AggProbe {
         }
     }
 
-    /// True if a probe with these programs may cache evaluation results
-    /// across events: programs that read the RNG (`f_rand`, `f_coinFlip`)
+    /// True if a probe with these programs may share evaluation results
+    /// between rows: programs that read the RNG (`f_rand`, `f_coinFlip`)
     /// or the clock (`f_now`) are not pure functions of their inputs and
     /// must stay on the scan path. Planners check this before creating the
-    /// delta subscription for [`AggProbe::with_subscription`].
+    /// delta subscription for [`AggProbe::delta_fed`].
     pub fn can_increment(filter: &Option<Program>, agg_expr: &Program) -> bool {
         let pure = |p: &Program| !p.uses_random() && !p.uses_time();
         pure(agg_expr) && filter.as_ref().is_none_or(pure)
     }
 
-    /// Creates a delta-fed probe over an already-created subscription (the
-    /// planner pools subscriptions per table at instantiation). The caller
-    /// must have verified [`AggProbe::can_increment`] — an impure program
-    /// would cache stale evaluation results.
-    pub fn with_subscription(
-        table: TableRef,
-        table_arity: usize,
-        func: AggFunc,
-        filter: Option<Program>,
-        agg_expr: Program,
-        out_name: impl Into<String>,
-        sub: DeltaSubscription,
-    ) -> AggProbe {
-        debug_assert!(Self::can_increment(&filter, &agg_expr));
-        let mut refs: Vec<usize> = agg_expr
+    /// Turns the probe delta-fed over an already-created subscription (the
+    /// planner pools subscriptions per table at instantiation); events are
+    /// expected to have `event_arity` fields. The caller must have
+    /// verified [`AggProbe::can_increment`] — an impure program would
+    /// share results between rows that must not share them.
+    pub fn delta_fed(mut self, sub: DeltaSubscription, event_arity: usize) -> AggProbe {
+        debug_assert!(Self::can_increment(&self.filter, &self.agg_expr));
+        let mut cols: Vec<usize> = self
+            .agg_expr
             .ops()
             .iter()
-            .chain(filter.iter().flat_map(|f| f.ops().iter()))
+            .chain(self.filter.iter().flat_map(|f| f.ops().iter()))
             .filter_map(|op| match op {
-                p2_pel::Op::Load(i) => Some(*i),
+                p2_pel::Op::Load(i) => i.checked_sub(event_arity),
                 _ => None,
             })
             .collect();
-        refs.sort_unstable();
-        refs.dedup();
-        AggProbe {
-            table,
-            table_arity,
-            func,
-            filter,
-            agg_expr,
-            out_name: out_name.into(),
-            inc: Some(ProbeCache {
-                sub,
-                rows: Vec::new(),
-                groups: Vec::new(),
-                refs,
-                needs_rebuild: true,
-                built: false,
-                scratch: Vec::new(),
-                key_scratch: Vec::new(),
-                tick: 0,
-            }),
-        }
+        cols.sort_unstable();
+        cols.dedup();
+        self.inc = Some(ProbeCache {
+            sub,
+            event_arity,
+            rows: Vec::new(),
+            projections: Projections::new(cols),
+            needs_rebuild: true,
+            built: false,
+            scratch: Vec::new(),
+            values: Vec::new(),
+        });
+        self
     }
 
-    /// Creates a delta-fed probe, subscribing to the table's delta stream;
-    /// falls back to the scan path when the programs are impure.
+    /// Creates a delta-fed probe for events of `event_arity` fields,
+    /// subscribing to the table's delta stream; falls back to the scan
+    /// path when the programs are impure.
     pub fn new_incremental(
         table: TableRef,
         table_arity: usize,
@@ -348,12 +439,15 @@ impl AggProbe {
         filter: Option<Program>,
         agg_expr: Program,
         out_name: impl Into<String>,
+        event_arity: usize,
     ) -> AggProbe {
-        if !Self::can_increment(&filter, &agg_expr) {
-            return Self::new(table, table_arity, func, filter, agg_expr, out_name);
+        let pure = Self::can_increment(&filter, &agg_expr);
+        let probe = Self::new(table, table_arity, func, filter, agg_expr, out_name);
+        if !pure {
+            return probe;
         }
-        let sub = table.lock().subscribe_deltas();
-        Self::with_subscription(table, table_arity, func, filter, agg_expr, out_name, sub)
+        let sub = probe.table.lock().subscribe_deltas();
+        probe.delta_fed(sub, event_arity)
     }
 
     /// True if this probe runs in delta-fed mode (planner diagnostics).
@@ -413,8 +507,8 @@ impl AggProbe {
         ctx.emit(0, tuple.extended(extra).renamed(&self.out_name));
     }
 
-    /// The delta-fed path: catch up on the table's deltas, locate (or
-    /// build) the event's contribution group, then fold its contributions
+    /// The delta-fed path: catch up on the table's deltas, evaluate the
+    /// programs once per live projection slot, then fold the mirrored rows
     /// in scan order through the same witness/accumulate/finish logic as
     /// [`AggProbe::push_scan`].
     fn push_incremental(&mut self, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
@@ -428,12 +522,11 @@ impl AggProbe {
             inc,
         } = self;
         let cache = inc.as_mut().expect("push_incremental requires the cache");
-        // Quiet fast path: no pending deltas means the mirror and every
-        // cached group are already exact — skip the lock/drain round trip
-        // (one atomic load instead).
+        // Quiet fast path: no pending deltas means the mirror is already
+        // exact — skip the lock/drain round trip (one atomic load instead).
         if cache.needs_rebuild || cache.sub.has_pending() {
-            // Catching up on deltas mutates the mirror/groups: real work,
-            // not a refresh no-op.
+            // Catching up on deltas mutates the mirror: real work, not a
+            // refresh no-op.
             ctx.note_state_change();
             // Borrow a local clone of the `Arc` so the cache stays freely
             // borrowable while the table is locked.
@@ -443,7 +536,7 @@ impl AggProbe {
                 cache.needs_rebuild = true;
                 cache.scratch.clear();
             }
-            if !cache.needs_rebuild && !cache.apply_deltas(filter, agg_expr, ctx.eval()) {
+            if !cache.needs_rebuild && !cache.apply_deltas() {
                 cache.needs_rebuild = true;
             }
             cache.scratch.clear();
@@ -451,77 +544,33 @@ impl AggProbe {
                 if cache.built {
                     guard.note_rebuild();
                 }
-                cache.rows = guard
-                    .scan_rows_counted()
-                    .map(|(id, t)| (id, t.clone()))
-                    .collect();
-                cache.groups.clear();
+                cache.rows.clear();
+                cache.projections.clear();
+                for (id, row) in guard.scan_rows_counted() {
+                    let slot = cache.projections.intern(row);
+                    cache.rows.push((id, row.clone(), slot));
+                }
                 cache.needs_rebuild = false;
                 cache.built = true;
             }
         }
 
-        cache.tick += 1;
-        let tick = cache.tick;
-        let arity = tuple.arity();
-        // The class key is built in a reused scratch vector: probes that
-        // hit an existing group (the steady state) allocate nothing.
-        cache.key_scratch.clear();
-        let refs = &cache.refs;
-        cache.key_scratch.extend(
-            refs.iter()
-                .filter(|&&i| i < arity)
-                .map(|&i| tuple.field(i).clone()),
-        );
-        let pos = cache
-            .groups
-            .iter()
-            .position(|g| g.key.0 == arity && g.key.1 == cache.key_scratch);
-        let pos = match pos {
-            Some(p) => {
-                cache.groups[p].last_used = tick;
-                p
-            }
-            None => {
-                let key = std::mem::take(&mut cache.key_scratch);
-                // First event of its class: fold the mirror once (instead
-                // of the table), caching per-row results for every later
-                // event of the class.
-                let mut contribs = Vec::new();
-                for (id, row) in &cache.rows {
-                    if let Some(v) = contribution(filter, agg_expr, tuple, row, ctx.eval()) {
-                        contribs.push((*id, v));
-                    }
-                }
-                let group = ProbeGroup {
-                    key: (arity, key),
-                    event: tuple.clone(),
-                    contribs,
-                    last_used: tick,
-                };
-                if cache.groups.len() >= MAX_PROBE_GROUPS {
-                    let evict = cache
-                        .groups
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, g)| g.last_used)
-                        .map(|(i, _)| i)
-                        .expect("non-empty group cache");
-                    cache.groups[evict] = group;
-                    evict
-                } else {
-                    cache.groups.push(group);
-                    cache.groups.len() - 1
-                }
-            }
-        };
-
-        // The fold below is line-for-line the scan path's, over the cached
-        // contributions (already in scan order).
-        let group = &cache.groups[pos];
+        cache.values.clear();
+        for slot in &cache.projections.slots {
+            cache.values.push(if slot.live > 0 {
+                contribution(filter, agg_expr, tuple, &slot.rep, ctx.eval())
+            } else {
+                None
+            });
+        }
+        // The fold below is line-for-line the scan path's, over the rows in
+        // scan order, each reading its slot's contribution.
         let mut state = AggState::new(*func);
-        let mut witness: Option<(&Value, RowId)> = None;
-        for (id, v) in &group.contribs {
+        let mut witness: Option<(&Value, usize)> = None;
+        for (at, (_, _, slot)) in cache.rows.iter().enumerate() {
+            let Some(v) = &cache.values[*slot] else {
+                continue;
+            };
             let better = match (&witness, *func) {
                 (None, _) => true,
                 (Some((best, _)), AggFunc::Min) => v < *best,
@@ -529,7 +578,7 @@ impl AggProbe {
                 _ => false,
             };
             if better {
-                witness = Some((v, *id));
+                witness = Some((v, at));
             }
             if state.accumulate(v).is_err() {
                 return;
@@ -539,13 +588,7 @@ impl AggProbe {
             return;
         };
         let row_part: Vec<Value> = match (*func, witness) {
-            (AggFunc::Min | AggFunc::Max, Some((_, id))) => {
-                let at = cache
-                    .rows
-                    .binary_search_by_key(&id, |(rid, _)| *rid)
-                    .expect("witness row present in mirror");
-                cache.rows[at].1.values().to_vec()
-            }
+            (AggFunc::Min | AggFunc::Max, Some((_, at))) => cache.rows[at].1.values().to_vec(),
             _ => vec![Value::Null; *table_arity],
         };
         let mut extra = row_part;
@@ -555,42 +598,24 @@ impl AggProbe {
 }
 
 impl ProbeCache {
-    /// Applies drained deltas to the mirror and every cached group;
-    /// `false` means the mirror no longer matches the table and must be
-    /// rebuilt from a scan.
-    fn apply_deltas(
-        &mut self,
-        filter: &Option<Program>,
-        agg_expr: &Program,
-        ev: &mut EvalContext,
-    ) -> bool {
-        for i in 0..self.scratch.len() {
-            let delta = &self.scratch[i];
+    /// Applies drained deltas to the mirror and its projections; `false`
+    /// means the mirror no longer matches the table and must be rebuilt
+    /// from a scan.
+    fn apply_deltas(&mut self) -> bool {
+        for delta in &self.scratch {
+            let at = self.rows.binary_search_by_key(&delta.row, |(id, ..)| *id);
             if delta.kind.is_removal() {
-                match self.rows.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                    Ok(at) => {
-                        self.rows.remove(at);
-                    }
-                    Err(_) => return false, // removal of an unknown row
-                }
-                for g in &mut self.groups {
-                    if let Ok(at) = g.contribs.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                        g.contribs.remove(at);
-                    }
-                }
+                let Ok(at) = at else {
+                    return false; // removal of an unknown row
+                };
+                let (_, _, slot) = self.rows.remove(at);
+                self.projections.release(slot);
             } else {
-                match self.rows.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                    Ok(_) => return false, // insert into an occupied slot
-                    Err(at) => self.rows.insert(at, (delta.row, delta.tuple.clone())),
-                }
-                for g in &mut self.groups {
-                    if let Some(v) = contribution(filter, agg_expr, &g.event, &delta.tuple, ev) {
-                        match g.contribs.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                            Ok(_) => return false,
-                            Err(at) => g.contribs.insert(at, (delta.row, v)),
-                        }
-                    }
-                }
+                let Err(at) = at else {
+                    return false; // insert into an occupied row id
+                };
+                let slot = self.projections.intern(&delta.tuple);
+                self.rows.insert(at, (delta.row, delta.tuple.clone(), slot));
             }
         }
         true
@@ -603,10 +628,9 @@ impl Element for AggProbe {
     }
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        if self.inc.is_some() {
-            self.push_incremental(tuple, ctx);
-        } else {
-            self.push_scan(tuple, ctx);
+        match &self.inc {
+            Some(cache) if cache.event_arity == tuple.arity() => self.push_incremental(tuple, ctx),
+            _ => self.push_scan(tuple, ctx),
         }
     }
 }
@@ -1279,10 +1303,15 @@ mod tests {
     }
 
     fn finger(b: u64, bi: &str) -> Tuple {
+        finger_at(0, Value::Id(Uint160::from_u64(b)), bi)
+    }
+
+    /// A finger row with index `i` and successor id `b` (any variant).
+    fn finger_at(i: i64, b: Value, bi: &str) -> Tuple {
         TupleBuilder::new("finger")
             .push("n1")
-            .push(0i64)
-            .push(Value::Id(Uint160::from_u64(b)))
+            .push(i)
+            .push(b)
             .push(bi)
             .build()
     }
@@ -1307,25 +1336,37 @@ mod tests {
     }
 
     impl ProbePair {
+        /// Chord's L2 probe: `min<K - B - 1>` over fingers with B in (N, K).
         fn new(spec: TableSpec) -> ProbePair {
+            Self::with(spec, AggFunc::Min, Some(chord_filter()), chord_agg())
+        }
+
+        /// Any probe over the finger table, fed `lookup` events (arity 5).
+        fn with(
+            spec: TableSpec,
+            func: AggFunc,
+            filter: Option<Program>,
+            agg: Program,
+        ) -> ProbePair {
             let mk = |incremental: bool| {
                 let t = table(spec.clone(), vec![]);
                 let probe = if incremental {
                     AggProbe::new_incremental(
                         t.clone(),
                         4,
-                        AggFunc::Min,
-                        Some(chord_filter()),
-                        chord_agg(),
+                        func,
+                        filter.clone(),
+                        agg.clone(),
                         "bestLookupDist",
+                        5,
                     )
                 } else {
                     AggProbe::new(
                         t.clone(),
                         4,
-                        AggFunc::Min,
-                        Some(chord_filter()),
-                        chord_agg(),
+                        func,
+                        filter.clone(),
+                        agg.clone(),
                         "bestLookupDist",
                     )
                 };
@@ -1370,7 +1411,13 @@ mod tests {
             };
             let scan = dump(&self.bufs[0]);
             let inc = dump(&self.bufs[1]);
-            assert_eq!(scan, inc, "delta-fed probe diverged from scan probe");
+            // Debug renderings compare strictly (variant and payload),
+            // which `Value::eq` does not.
+            assert_eq!(
+                format!("{scan:?}"),
+                format!("{inc:?}"),
+                "delta-fed probe diverged from scan probe"
+            );
             assert!(!scan.is_empty(), "vacuous equivalence: nothing emitted");
         }
     }
@@ -1391,7 +1438,7 @@ mod tests {
         });
         pair.poke(lookup(70, 5), SimTime::from_secs(2));
 
-        // Insert a better finger: same event class must pick it up.
+        // Insert a better finger: the same event must pick it up.
         pair.mutate(|t| {
             t.insert(finger(60, "n60"), SimTime::from_secs(3)).unwrap();
         });
@@ -1409,7 +1456,7 @@ mod tests {
         });
         pair.poke(lookup(70, 5), SimTime::from_secs(5));
 
-        // A different event class (different K, N) in the same run.
+        // A different event (different K, N) in the same run.
         pair.poke(lookup(100, 20), SimTime::from_secs(6));
 
         // Eviction: the table caps at 4 rows.
@@ -1461,26 +1508,178 @@ mod tests {
         assert_eq!(pair.tables[0].lock().stats().rebuilds, 0);
     }
 
-    /// More event classes than `MAX_PROBE_GROUPS`: stale groups are
-    /// LRU-evicted and rebuilt from the in-memory mirror — correct
-    /// answers, still no table rescans.
+    /// Fingers keyed by index, so many rows share one successor id B (the
+    /// only row column the Chord programs read) while differing in I and
+    /// BI: the shared evaluation must still pick the first-scanned witness.
     #[test]
-    fn agg_probe_lru_rebuilds_groups_from_mirror() {
-        let mut pair = ProbePair::new(TableSpec::new("finger", vec![2]));
+    fn agg_probe_rows_sharing_read_columns_match_scan() {
+        let mut pair = ProbePair::new(TableSpec::new("finger", vec![1]));
         pair.mutate(|t| {
-            for b in [10u64, 40, 90] {
-                t.insert(finger(b, "x"), SimTime::from_secs(1)).unwrap();
+            for i in 0..12i64 {
+                let b = [40u64, 10, 90][i as usize % 3];
+                let row = finger_at(i, Value::Id(Uint160::from_u64(b)), &format!("n{b}-{i}"));
+                t.insert(row, SimTime::from_secs(1)).unwrap();
             }
         });
-        // 12 distinct (K, N) classes overflow the 8-entry group cache,
-        // then the first class comes back after being evicted.
-        for k in 0..12u64 {
-            pair.poke(lookup(60 + k, 5), SimTime::from_secs(2 + k));
-        }
-        pair.poke(lookup(60, 5), SimTime::from_secs(20));
+        pair.poke(lookup(70, 5), SimTime::from_secs(2));
+        pair.poke(lookup(100, 20), SimTime::from_secs(2));
+        // Drop the first row of B=40 (its slot's representative): the
+        // remaining B=40 rows keep the slot and the witness moves on.
+        pair.mutate(|t| {
+            t.delete_matching(&finger_at(0, Value::Id(Uint160::from_u64(40)), "n40-0"))
+                .unwrap();
+        });
+        pair.poke(lookup(70, 5), SimTime::from_secs(3));
+        pair.assert_outputs_match();
+        let first = pair.bufs[1].lock()[0].1.clone();
+        assert_eq!(first.field(8), &Value::str("n40-0"));
+        let last = pair.bufs[1].lock().last().unwrap().1.clone();
+        assert_eq!(last.field(8), &Value::str("n40-3"));
+    }
 
+    /// `Int(1)`, `Double(1.0)` and `Id(1)` are `Value::eq`-equal but must
+    /// not share a slot: once the `Id(1)` row is gone, `min<B>` is the
+    /// first-scanned `Int(1)` and `sum<B>` the double 2.0, where a merged
+    /// slot represented by `Id(1)` would emit `Id(1)` and fail the sum.
+    #[test]
+    fn agg_probe_numeric_variants_keep_separate_slots() {
+        for func in [AggFunc::Min, AggFunc::Max, AggFunc::Sum, AggFunc::Avg] {
+            let mut pair = ProbePair::with(
+                TableSpec::new("finger", vec![1]),
+                func,
+                None,
+                Program::compile(&Expr::Field(7)),
+            );
+            pair.mutate(|t| {
+                let id_one = Value::Id(Uint160::from_u64(1));
+                t.insert(finger_at(0, id_one, "id"), SimTime::from_secs(1))
+                    .unwrap();
+                t.insert(finger_at(1, Value::Int(1), "int"), SimTime::from_secs(1))
+                    .unwrap();
+                t.insert(
+                    finger_at(2, Value::Double(1.0), "dbl"),
+                    SimTime::from_secs(1),
+                )
+                .unwrap();
+            });
+            pair.poke(lookup(70, 5), SimTime::from_secs(2));
+            pair.mutate(|t| {
+                t.delete_matching(&finger_at(0, Value::Id(Uint160::from_u64(1)), "id"))
+                    .unwrap();
+            });
+            pair.poke(lookup(70, 5), SimTime::from_secs(3));
+            pair.assert_outputs_match();
+            let last = pair.bufs[1].lock().last().unwrap().1.clone();
+            let agg = last.field(9).clone();
+            match func {
+                AggFunc::Min | AggFunc::Max => {
+                    assert!(matches!(agg, Value::Int(1)), "{func:?}: {agg:?}");
+                    assert_eq!(last.field(8), &Value::str("int"));
+                }
+                _ => assert!(matches!(agg, Value::Double(d) if d == 1.0 || d == 2.0)),
+            }
+        }
+    }
+
+    /// Deleting every row of one projection frees its slot; a new
+    /// projection reuses it, and re-inserting the old one interns afresh.
+    #[test]
+    fn agg_probe_delete_then_reinsert_reuses_slots() {
+        let mut pair = ProbePair::new(TableSpec::new("finger", vec![1]));
+        let row = |i: i64, b: u64| finger_at(i, Value::Id(Uint160::from_u64(b)), "x");
+        pair.mutate(|t| {
+            for (i, b) in [(0, 10), (1, 40), (2, 40), (3, 10)] {
+                t.insert(row(i, b), SimTime::from_secs(1)).unwrap();
+            }
+        });
+        pair.poke(lookup(70, 5), SimTime::from_secs(2));
+        pair.mutate(|t| {
+            t.delete_matching(&row(1, 40)).unwrap();
+            t.delete_matching(&row(2, 40)).unwrap();
+        });
+        pair.poke(lookup(70, 5), SimTime::from_secs(3));
+        pair.mutate(|t| {
+            t.insert(row(4, 60), SimTime::from_secs(4)).unwrap();
+        });
+        pair.poke(lookup(70, 5), SimTime::from_secs(4));
+        pair.mutate(|t| {
+            t.insert(row(1, 40), SimTime::from_secs(5)).unwrap();
+            t.insert(row(4, 50), SimTime::from_secs(5)).unwrap();
+        });
+        pair.poke(lookup(70, 5), SimTime::from_secs(5));
         pair.assert_outputs_match();
         assert_eq!(pair.tables[1].lock().stats().full_scans, 1);
+    }
+
+    /// `sum`/`avg` over doubles must fold in scan order, so the result is
+    /// bit-identical to the scan even where addition order changes the
+    /// last ulp (`0.1 + 0.2 + 0.3` vs `0.3 + 0.2 + 0.1`) and across a
+    /// cancellation (`1e16 + 1.0 - 1e16`).
+    #[test]
+    fn agg_probe_double_sum_avg_bit_identical_to_scan() {
+        let doubles = [0.3, 0.1, 1e16, 0.2, 1.0, -1e16, 0.1, 0.3];
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            let mut pair = ProbePair::with(
+                TableSpec::new("finger", vec![1]),
+                func,
+                None,
+                Program::compile(&Expr::Field(7)),
+            );
+            pair.mutate(|t| {
+                for (i, d) in doubles.iter().enumerate() {
+                    t.insert(
+                        finger_at(i as i64, Value::Double(*d), "x"),
+                        SimTime::from_secs(1),
+                    )
+                    .unwrap();
+                }
+            });
+            pair.poke(lookup(70, 5), SimTime::from_secs(2));
+            pair.mutate(|t| {
+                t.delete_matching(&finger_at(1, Value::Double(0.1), "x"))
+                    .unwrap();
+                t.insert(finger_at(1, Value::Double(0.7), "x"), SimTime::from_secs(3))
+                    .unwrap();
+            });
+            pair.poke(lookup(70, 5), SimTime::from_secs(3));
+            pair.assert_outputs_match();
+            let bits = |b: &crate::elements::CollectorHandle| -> Vec<u64> {
+                b.lock()
+                    .iter()
+                    .map(|(_, t)| t.field(9).to_double().unwrap().to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&pair.bufs[0]), bits(&pair.bufs[1]), "{func:?}");
+        }
+    }
+
+    /// The interner shares a slot only between strictly equal projections,
+    /// treats a missing column as its own value, and reuses freed slots.
+    #[test]
+    fn projections_intern_strictly_and_reuse_freed_slots() {
+        let mut p = Projections::new(vec![2]);
+        let row = |i: i64, b: Value| finger_at(i, b, "x");
+        let int = p.intern(&row(0, Value::Int(1)));
+        let dbl = p.intern(&row(1, Value::Double(1.0)));
+        let id = p.intern(&row(2, Value::Id(Uint160::from_u64(1))));
+        let neg_zero = p.intern(&row(3, Value::Double(-0.0)));
+        let zero = p.intern(&row(4, Value::Double(0.0)));
+        let short = p.intern(&Tuple::new("finger", vec![Value::str("n1")]));
+        let mut all = vec![int, dbl, id, neg_zero, zero, short];
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 6, "distinct projections shared a slot");
+        // Same read column, different unread columns: one slot.
+        assert_eq!(p.intern(&finger_at(9, Value::Int(1), "other")), int);
+        assert_eq!(p.slots[int].live, 2);
+
+        p.release(dbl);
+        assert_eq!(p.free, vec![dbl]);
+        assert_eq!(p.intern(&row(5, Value::str("s"))), dbl, "freed slot reused");
+        // The old projection comes back in a fresh slot.
+        let fresh = p.slots.len();
+        assert_eq!(p.intern(&row(6, Value::Double(1.0))), fresh);
+        assert_eq!(p.index.len(), p.slots.len());
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! `Evict`, with replacement encoded as a Delete/Insert pair). Three
 //! elements consume them instead of rescanning their base tables:
 //! [`elements::TableAgg`] (materialized aggregates maintained per delta),
-//! [`elements::AggProbe`] in delta-fed mode (cached per-event-class
-//! contributions for in-strand aggregation), and [`elements::MatView`]
+//! [`elements::AggProbe`] in delta-fed mode (a table mirror whose rows are
+//! evaluated once per distinct projection of the columns the in-strand
+//! aggregation reads), and [`elements::MatView`]
 //! (provenance-counted join views with exact retractions). All three share
 //! the same fallback contract: a bounded per-subscriber delta log
 //! (`p2_table::DELTA_LOG_CAP`) whose overflow — or any detected

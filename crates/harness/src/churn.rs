@@ -10,60 +10,75 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use p2_value::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Schedule of upcoming churn events for a fixed node population.
+///
+/// Every time is a whole-microsecond [`SimTime`], the simulator's own
+/// clock: sessions are rounded up to at least 1 µs, so a rescheduled death
+/// is always strictly later than the one that produced it and a driver
+/// loop stepping to [`ChurnSchedule::next_event_at`] always makes progress.
 #[derive(Debug)]
 pub struct ChurnSchedule {
-    mean_session_secs: f64,
+    mean_session_us: f64,
     rng: SmallRng,
-    /// Min-heap of (death time bits, node index); death times are positive
-    /// finite seconds, whose IEEE-754 bit patterns order like the floats, so
-    /// pop and reschedule are O(log n) (the seed kept a sorted `Vec` and
-    /// shifted it per event). The landmark (index 0) is never churned so
-    /// rejoining nodes always have a working entry point.
+    /// Min-heap of (death time in µs, node index). The landmark (index 0)
+    /// is never churned so rejoining nodes always have a working entry
+    /// point.
     deaths: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl ChurnSchedule {
-    /// Creates a schedule for `n` nodes with the given mean session time.
-    pub fn new(n: usize, mean_session_secs: f64, start_secs: f64, seed: u64) -> ChurnSchedule {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut deaths = BinaryHeap::with_capacity(n.saturating_sub(1));
+    /// Creates a schedule for `n` nodes with the given mean session time,
+    /// drawing first sessions from `start`.
+    pub fn new(n: usize, mean_session: SimTime, start: SimTime, seed: u64) -> ChurnSchedule {
+        let mut schedule = ChurnSchedule {
+            mean_session_us: mean_session.as_micros() as f64,
+            rng: SmallRng::seed_from_u64(seed),
+            deaths: BinaryHeap::with_capacity(n.saturating_sub(1)),
+        };
         for i in 1..n {
-            let lifetime = sample_exponential(&mut rng, mean_session_secs);
-            deaths.push(Reverse(((start_secs + lifetime).to_bits(), i)));
+            let at = schedule.death_after(start);
+            schedule.deaths.push(Reverse((at, i)));
         }
-        ChurnSchedule {
-            mean_session_secs,
-            rng,
-            deaths,
-        }
+        schedule
     }
 
-    /// The time (in seconds) of the next churn event, if any.
-    pub fn next_event_at(&self) -> Option<f64> {
-        self.deaths.peek().map(|Reverse((t, _))| f64::from_bits(*t))
+    /// A death time (µs) one exponential session after `t`, at least 1 µs
+    /// later.
+    fn death_after(&mut self, t: SimTime) -> u64 {
+        let session = sample_exponential(&mut self.rng, self.mean_session_us);
+        t.as_micros() + (session.ceil() as u64).max(1)
     }
 
-    /// Pops the next churn event, returning `(time, node index)` and
-    /// scheduling that node's next death (after it rejoins).
-    pub fn pop(&mut self) -> Option<(f64, usize)> {
-        let Reverse((bits, idx)) = self.deaths.pop()?;
-        let at = f64::from_bits(bits);
-        let next_lifetime = sample_exponential(&mut self.rng, self.mean_session_secs);
+    /// The time of the next churn event, if any.
+    pub fn next_event_at(&self) -> Option<SimTime> {
         self.deaths
-            .push(Reverse(((at + next_lifetime).to_bits(), idx)));
-        Some((at, idx))
+            .peek()
+            .map(|Reverse((at, _))| SimTime::from_micros(*at))
+    }
+
+    /// Pops one churn event due at or before `now`, returning its node
+    /// index and scheduling that node's next death (after it rejoins).
+    pub fn pop_due(&mut self, now: SimTime) -> Option<usize> {
+        let Reverse((at, idx)) = *self.deaths.peek()?;
+        if at > now.as_micros() {
+            return None;
+        }
+        self.deaths.pop();
+        let next = self.death_after(SimTime::from_micros(at));
+        self.deaths.push(Reverse((next, idx)));
+        Some(idx)
     }
 
     /// Expected number of churn events per second across the population.
     pub fn expected_rate(&self, population: usize) -> f64 {
-        if self.mean_session_secs <= 0.0 {
+        if self.mean_session_us <= 0.0 {
             return 0.0;
         }
-        population.saturating_sub(1) as f64 / self.mean_session_secs
+        population.saturating_sub(1) as f64 / (self.mean_session_us / 1e6)
     }
 }
 
@@ -78,14 +93,37 @@ mod tests {
 
     #[test]
     fn events_are_time_ordered_and_continuous() {
-        let mut schedule = ChurnSchedule::new(50, 600.0, 100.0, 7);
-        let mut last = 0.0;
+        let start = SimTime::from_secs(100);
+        let mut schedule = ChurnSchedule::new(50, SimTime::from_secs(600), start, 7);
+        let mut last = SimTime::ZERO;
         for _ in 0..200 {
-            let (at, idx) = schedule.pop().unwrap();
+            let at = schedule.next_event_at().unwrap();
+            let idx = schedule.pop_due(at).unwrap();
             assert!(at >= last, "events must be non-decreasing in time");
-            assert!(at >= 100.0);
+            assert!(at > start);
             assert!((1..50).contains(&idx), "landmark must never churn");
             last = at;
+        }
+    }
+
+    /// A sub-microsecond mean session is the case where a float schedule
+    /// rounds to zero-length steps: every death must still be rescheduled
+    /// strictly later, and nothing is due before its time.
+    #[test]
+    fn every_death_is_rescheduled_strictly_later() {
+        let start = SimTime::from_secs(500);
+        let mut schedule = ChurnSchedule::new(20, SimTime::from_micros(1), start, 3);
+        let mut now = start;
+        for _ in 0..5_000 {
+            let next = schedule.next_event_at().unwrap();
+            assert!(next > start);
+            assert_eq!(
+                schedule.pop_due(SimTime::from_micros(next.as_micros() - 1)),
+                None
+            );
+            now = now.max(next);
+            while schedule.pop_due(now).is_some() {}
+            assert!(schedule.next_event_at().unwrap() > now);
         }
     }
 
@@ -105,8 +143,8 @@ mod tests {
 
     #[test]
     fn expected_rate_scales_inversely_with_session_time() {
-        let short = ChurnSchedule::new(100, 8.0 * 60.0, 0.0, 1);
-        let long = ChurnSchedule::new(100, 128.0 * 60.0, 0.0, 1);
+        let short = ChurnSchedule::new(100, SimTime::from_secs(8 * 60), SimTime::ZERO, 1);
+        let long = ChurnSchedule::new(100, SimTime::from_secs(128 * 60), SimTime::ZERO, 1);
         assert!(short.expected_rate(100) > long.expected_rate(100) * 10.0);
     }
 }

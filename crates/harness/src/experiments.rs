@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use p2_value::Uint160;
+use p2_value::{SimTime, Uint160};
 
 use crate::churn::ChurnSchedule;
 use crate::cluster::{expected_owner, BaselineCluster, ChordCluster, LookupHandle};
@@ -225,11 +225,12 @@ pub fn churn_chord(params: &ChurnParams) -> Vec<ChurnResult> {
 
 fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult {
     let mut cluster = ChordCluster::build(params.n, params.warmup_secs, params.seed);
-    let start = cluster.now().as_secs_f64();
-    let end = start + params.churn_secs as f64;
+    // Every time below is on the simulator's integer µs clock.
+    let start = cluster.now();
+    let end = start + SimTime::from_secs(params.churn_secs);
     let mut schedule = ChurnSchedule::new(
         params.n,
-        session_minutes * 60.0,
+        SimTime::from_secs_f64(session_minutes * 60.0),
         start,
         params.seed ^ 0xC0FFEE,
     );
@@ -241,31 +242,29 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
     let mut issued = 0usize;
     let mut completed = 0usize;
 
-    let mut next_probe = start + params.probe_interval_secs as f64;
+    let probe_interval = SimTime::from_secs(params.probe_interval_secs);
+    let mut next_probe = start + probe_interval;
     let mut outstanding: Vec<(Uint160, Vec<LookupHandle>)> = Vec::new();
     let mut rng_key = params.seed;
 
-    while cluster.now().as_secs_f64() < end {
-        let now = cluster.now().as_secs_f64();
-        let next_churn = schedule.next_event_at().unwrap_or(end).min(end);
+    while cluster.now() < end {
+        let before = cluster.now();
+        let next_churn = schedule.next_event_at().unwrap_or(end);
         let next_event = next_churn.min(next_probe).min(end);
-        if next_event > now {
-            cluster.run_for(next_event - now);
+        if next_event > before {
+            cluster.sim.run_until(next_event);
+        }
+        let now = cluster.now();
+        let mut acted = false;
+
+        while let Some(idx) = schedule.pop_due(now) {
+            let addr = cluster.addrs()[idx].clone();
+            cluster.crash(&addr);
+            cluster.rejoin(&addr);
+            acted = true;
         }
 
-        if schedule
-            .next_event_at()
-            .map(|t| t <= cluster.now().as_secs_f64() + 1e-9)
-            == Some(true)
-        {
-            if let Some((_, idx)) = schedule.pop() {
-                let addr = cluster.addrs()[idx].clone();
-                cluster.crash(&addr);
-                cluster.rejoin(&addr);
-            }
-        }
-
-        if cluster.now().as_secs_f64() + 1e-9 >= next_probe {
+        if now >= next_probe {
             // Harvest the previous round of probes before issuing new ones.
             harvest_probes(
                 &cluster,
@@ -296,8 +295,17 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
                 issued += 1;
             }
             outstanding.push((key, handles));
-            next_probe += params.probe_interval_secs as f64;
+            next_probe += probe_interval;
+            acted = true;
         }
+
+        // Progress guard: an iteration that neither acted nor moved the
+        // clock would repeat forever.
+        assert!(
+            acted || now > before,
+            "churn_chord: virtual clock stopped advancing at {} µs",
+            now.as_micros()
+        );
     }
     cluster.run_for(15.0);
     harvest_probes(
@@ -510,6 +518,20 @@ mod tests {
         // The headline claim: the declarative spec is more than an order of
         // magnitude smaller than the hand-coded implementation.
         assert!(report.baseline_chord_loc > 5 * report.chord_rules);
+    }
+
+    /// Regression for the churn livelock: with the quick configuration the
+    /// f64 schedule reached a churn event 0.39 µs ahead, which the µs clock
+    /// could never step to, and spun forever. The run must terminate and
+    /// see its probes complete.
+    #[test]
+    fn quick_churn_experiment_terminates_and_completes_lookups() {
+        let results = churn_chord(&ChurnParams::quick());
+        assert_eq!(results.len(), 2);
+        for r in &results {
+            assert!(r.completion_rate > 0.0, "completion {}", r.completion_rate);
+            assert!(r.maintenance_bw_per_node > 0.0);
+        }
     }
 
     #[test]
