@@ -3,7 +3,7 @@
 //! lookup) and writes the results to `BENCH_sim.json` so the trajectory is
 //! tracked like `BENCH_table.json`.
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! * `toy_event_loop` — rings of trivial periodic hosts (one ping per
 //!   second per node, no dataflow machinery). This isolates the simulator's
@@ -16,29 +16,22 @@
 //! * `join_seed_bring_up` — virtual bring-up time of the batched path with
 //!   and without the JS1 join-time successor-seeding rule (ROADMAP
 //!   bottleneck 2: seeding collapses idle stabilization waits).
-//! * `strand_gate` — the rule-strand equivalence gate: the same ring
-//!   planned with fused strands (the default) and with the generic element
-//!   chains must produce identical NetStats and event counts, and the
-//!   binary **exits non-zero on divergence** (CI runs this in smoke mode,
-//!   like the `--par` golden gate).
-//! * `view_gate` — the incrementalization equivalence gate: the same ring
-//!   planned with materialized views and delta-fed aggregate probes (the
-//!   default) and with the rescanning translation must produce identical
-//!   NetStats and event counts, and the binary **exits non-zero on
-//!   divergence**. `--view-gate` runs only this gate (the CI smoke step).
-//! * `sched_gate` — the delta-scheduling equivalence gate: the same ring
-//!   with the delta-driven scheduler on (the default) and off must produce
-//!   identical NetStats and event counts, identical final routing state
-//!   (succ/pred/bestSucc/finger rows of every node, agreeing on
-//!   single-cycle structure), and identical outcomes for a deterministic
-//!   lookup workload — and the scheduled run must actually have suppressed
-//!   pokes. The binary **exits non-zero on divergence**. `--sched-gate`
-//!   runs only this gate (the CI smoke step).
 //!
 //! The `chord_rings` section reports an interleaved in-process A/B of the
-//! incremental plan against the generic element chains, the rescanning
-//! (views-off) plan, and the poke-everything (scheduler-off) plan, plus
-//! per-event full-scan rates for each.
+//! default lowering against the reference lowering (`PlanConfig::reference`:
+//! generic element chains, rescanning aggregate probes, no views,
+//! scheduling off), plus per-event full-scan rates for each.
+//!
+//! With `--equiv-gate` the binary runs only the **equivalence gate** and
+//! writes no report (the CI smoke step): the same staggered-bring-up ring
+//! in the default and the reference lowering must produce identical
+//! NetStats and event counts over a 60-virtual-second window, identical
+//! final routing state (succ/pred/bestSucc/finger rows of every node),
+//! agree on single-cycle structure, and resolve a deterministic 16-lookup
+//! workload to the same owners over the same hop counts. The gate is
+//! non-vacuous only if the default run suppressed pokes and ran fewer full
+//! table scans than the reference; the binary **exits non-zero** on any
+//! divergence or a vacuous pass.
 //!
 //! With `--par` the binary instead benchmarks the **parallel sharded
 //! simulator**: steady-state Chord-ring throughput at 1/2/4/8 workers per
@@ -55,8 +48,8 @@
 //! or the binary **exits non-zero**. The report tree is schema-checked
 //! in-process before it is written.
 //!
-//! Usage: `cargo run --release --bin sim_bench [-- --smoke] [--par] [--obs]
-//! [--view-gate] [--sched-gate] [--sizes N,N,..] [--workers N,N,..]
+//! Usage: `cargo run --release -p p2-bench --bin sim_bench [-- --smoke]
+//! [--par] [--obs] [--equiv-gate] [--sizes N,N,..] [--workers N,N,..]
 //! [--out PATH]`
 
 use std::time::Instant;
@@ -65,7 +58,7 @@ use p2_bench::to_json;
 use p2_harness::metrics::{EngineOps, SimOps, StorageOps};
 use p2_harness::ChordCluster;
 use p2_netsim::{Envelope, Host, NetworkConfig, Simulator};
-use p2_value::{SimTime, Tuple, TupleBuilder, Uint160};
+use p2_value::{SimTime, Tuple, TupleBuilder};
 use serde::{Json, Serialize};
 
 /// A minimal host: one ping to its ring neighbor every second, phase-spread
@@ -129,40 +122,28 @@ struct ChordResult {
     wall_secs: f64,
     events_per_sec: f64,
     messages_per_virtual_sec: f64,
-    /// Throughput of the same ring planned with the generic element
-    /// chains, measured in interleaved windows within the same process so
-    /// machine noise hits both variants equally.
-    generic_events_per_sec: f64,
-    /// `events_per_sec / generic_events_per_sec`: the isolated win of
-    /// strand fusion (plus the identical event streams make the windows
-    /// directly comparable).
-    fused_speedup: f64,
-    /// Throughput of the same ring with view materialization and delta-fed
-    /// aggregate probes disabled (the rescanning translation), interleaved
-    /// in the same windows.
-    views_off_events_per_sec: f64,
-    /// `events_per_sec / views_off_events_per_sec`: the isolated win of
-    /// incrementalization.
-    views_speedup: f64,
-    /// Throughput of the same ring with delta-driven scheduling disabled
-    /// (the poke-everything engine), interleaved in the same windows.
-    sched_off_events_per_sec: f64,
-    /// `events_per_sec / sched_off_events_per_sec`: the isolated win of
-    /// suppressing refresh no-op pokes.
-    sched_speedup: f64,
-    /// Pokes the scheduler suppressed in the incremental ring's measurement
-    /// windows (static refresh masks + dynamic `would_wake` guards).
+    /// Throughput of the same ring in the reference lowering, measured in
+    /// interleaved windows within the same process so machine noise hits
+    /// both variants equally (the identical event streams make the
+    /// windows directly comparable).
+    reference_events_per_sec: f64,
+    /// `events_per_sec / reference_events_per_sec`: the combined win of
+    /// the default lowering's fused strands, views, delta-fed probes and
+    /// scheduling.
+    reference_speedup: f64,
+    /// Pokes the scheduler's wake guards suppressed in the default ring's
+    /// measurement windows.
     suppressed_pokes: u64,
     /// Full table scans per processed event in the measurement windows,
-    /// incremental plan (the ISSUE-7 success metric: ~0).
+    /// default lowering (~0).
     full_scans_per_event: f64,
-    /// Full table scans per processed event, rescanning plan.
-    views_off_full_scans_per_event: f64,
-    /// End-of-run table-storage counters of the incremental ring.
+    /// Full table scans per processed event, reference lowering.
+    reference_full_scans_per_event: f64,
+    /// End-of-run table-storage counters of the default ring.
     storage_ops: StorageOps,
-    /// End-of-run simulator event-loop counters of the incremental ring.
+    /// End-of-run simulator event-loop counters of the default ring.
     sim_ops: SimOps,
-    /// End-of-run engine ingress counters of the incremental ring.
+    /// End-of-run engine ingress counters of the default ring.
     engine_ops: EngineOps,
 }
 
@@ -180,46 +161,24 @@ struct JoinSeedResult {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct StrandGate {
+struct EquivGate {
     nodes: usize,
-    fused_strand_count: usize,
-    fused: GoldenPin,
-    generic: GoldenPin,
-    matches: bool,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct ViewGate {
-    nodes: usize,
-    /// Rules lowered to materialized views in the shipped plan.
-    mat_view_count: usize,
-    views_on: GoldenPin,
-    views_off: GoldenPin,
-    /// Full table scans over the gate window, incremental plan.
-    views_on_full_scans: u64,
-    /// Full table scans over the gate window, rescanning plan.
-    views_off_full_scans: u64,
-    matches: bool,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct SchedGate {
-    nodes: usize,
-    /// Strand entries statically masked in the shipped plan (0 for Chord:
-    /// the planner's transitive TTL-neutrality fixpoint proves every
-    /// refresh cascade load-bearing, so all suppression is guard-driven).
-    refresh_mask_count: usize,
-    scheduled: GoldenPin,
-    unscheduled: GoldenPin,
-    /// Pokes suppressed in the scheduled run's gate window — the gate is
-    /// vacuous unless this is non-zero.
+    default: GoldenPin,
+    reference: GoldenPin,
+    /// Pokes suppressed in the default run — the gate is vacuous unless
+    /// this is non-zero.
     suppressed_pokes: u64,
+    /// Full table scans over the gate window, default lowering.
+    default_full_scans: u64,
+    /// Full table scans over the gate window, reference lowering (the
+    /// gate is vacuous unless the default ran fewer).
+    reference_full_scans: u64,
     /// Final succ/pred/bestSucc/finger rows of every node identical.
     state_matches: bool,
     /// The two rings agree on whether the successor pointers form a single
     /// cycle (the smoke ring's short staggered bring-up may legitimately
-    /// not have converged yet — what is gated is that scheduling does not
-    /// change the outcome; the harness equivalence test asserts the
+    /// not have converged yet — what is gated is that the lowering does
+    /// not change the outcome; the harness equivalence test asserts the
     /// absolute cycle on a fully converged ring).
     single_cycle_agrees: bool,
     /// Deterministic lookup workload resolved to the same owners over the
@@ -231,12 +190,10 @@ struct SchedGate {
 #[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     bench: String,
+    machine_cores: usize,
     toy_event_loop: Vec<ToyResult>,
     chord_rings: Vec<ChordResult>,
     join_seed_bring_up: Vec<JoinSeedResult>,
-    strand_gate: StrandGate,
-    view_gate: ViewGate,
-    sched_gate: SchedGate,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -318,99 +275,51 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
     let mut cluster = ChordCluster::builder(nodes, 42).build_fast(warmup_secs);
     let build_wall_secs = start.elapsed().as_secs_f64();
     let ring_correctness = cluster.ring_correctness();
-    let mut generic = ChordCluster::builder(nodes, 42)
-        .fuse_strands(false)
-        .build_fast(warmup_secs);
-    let mut rescan = ChordCluster::builder(nodes, 42)
-        .materialize_views(false)
-        .build_fast(warmup_secs);
-    let mut unsched = ChordCluster::builder(nodes, 42)
-        .delta_schedule(false)
+    let mut reference = ChordCluster::builder(nodes, 42)
+        .reference(true)
         .build_fast(warmup_secs);
 
-    // Interleaved measurement windows: all four rings simulate the same
+    // Interleaved measurement windows: both rings simulate the same
     // deterministic event stream, so alternating short windows makes the
     // comparison robust against machine-load drift within one run (single
-    // absolute numbers on a shared box are not). The within-window run
-    // order alternates each window (even count) because position in the
-    // window is itself worth several percent on a busy single-core box —
-    // measured by swapping the order of two identical-workload rings. The
-    // outer slots alternate main/rescan, the inner slots generic/unsched.
+    // absolute numbers on a shared box are not). The run order alternates
+    // each window (even count) because position in the window is itself
+    // worth several percent on a busy box — measured by swapping the order
+    // of two identical-workload rings.
     let windows = 4u64;
     let slice = (virtual_secs / windows).max(1);
     cluster.sim.reset_stats();
     let before_events = cluster.sim.events_processed();
-    let generic_before = generic.sim.events_processed();
-    let rescan_before = rescan.sim.events_processed();
-    let unsched_before = unsched.sim.events_processed();
+    let reference_before = reference.sim.events_processed();
     let scans_before = cluster.storage_ops().full_scans;
-    let rescan_scans_before = rescan.storage_ops().full_scans;
-    let suppressed_before = {
-        let e = cluster.engine_stats();
-        e.suppressed_refresh_pokes + e.suppressed_guard_pokes
+    let reference_scans_before = reference.storage_ops().full_scans;
+    let suppressed_before = cluster.engine_stats().suppressed_guard_pokes;
+    let (mut wall, mut reference_wall) = (0.0f64, 0.0f64);
+    let timed = |ring: &mut ChordCluster, wall: &mut f64| {
+        let t = Instant::now();
+        ring.run_for(slice as f64);
+        *wall += t.elapsed().as_secs_f64();
     };
-    let (mut wall, mut generic_wall, mut rescan_wall, mut unsched_wall) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for w in 0..windows {
-        let mut run_main = |wall: &mut f64| {
-            let t = Instant::now();
-            cluster.run_for(slice as f64);
-            *wall += t.elapsed().as_secs_f64();
-        };
-        let mut run_rescan = |wall: &mut f64| {
-            let t = Instant::now();
-            rescan.run_for(slice as f64);
-            *wall += t.elapsed().as_secs_f64();
-        };
-        let mut run_generic = |wall: &mut f64| {
-            let t = Instant::now();
-            generic.run_for(slice as f64);
-            *wall += t.elapsed().as_secs_f64();
-        };
-        let mut run_unsched = |wall: &mut f64| {
-            let t = Instant::now();
-            unsched.run_for(slice as f64);
-            *wall += t.elapsed().as_secs_f64();
-        };
         if w % 2 == 0 {
-            run_main(&mut wall);
-            run_generic(&mut generic_wall);
-            run_unsched(&mut unsched_wall);
-            run_rescan(&mut rescan_wall);
+            timed(&mut cluster, &mut wall);
+            timed(&mut reference, &mut reference_wall);
         } else {
-            run_rescan(&mut rescan_wall);
-            run_unsched(&mut unsched_wall);
-            run_generic(&mut generic_wall);
-            run_main(&mut wall);
+            timed(&mut reference, &mut reference_wall);
+            timed(&mut cluster, &mut wall);
         }
     }
     let events = cluster.sim.events_processed() - before_events;
-    let generic_events = generic.sim.events_processed() - generic_before;
-    let rescan_events = rescan.sim.events_processed() - rescan_before;
-    let unsched_events = unsched.sim.events_processed() - unsched_before;
+    let reference_events = reference.sim.events_processed() - reference_before;
     assert_eq!(
-        events, generic_events,
-        "fused and generic rings must process identical event streams"
-    );
-    assert_eq!(
-        events, rescan_events,
-        "incremental and rescanning rings must process identical event streams"
-    );
-    assert_eq!(
-        events, unsched_events,
-        "scheduled and poke-everything rings must process identical event streams"
+        events, reference_events,
+        "default and reference rings must process identical event streams"
     );
     let full_scans = cluster.storage_ops().full_scans - scans_before;
-    let rescan_full_scans = rescan.storage_ops().full_scans - rescan_scans_before;
+    let reference_full_scans = reference.storage_ops().full_scans - reference_scans_before;
     let sent = cluster.sim.stats().messages_sent;
     let events_per_sec = events as f64 / wall.max(1e-12);
-    let generic_events_per_sec = generic_events as f64 / generic_wall.max(1e-12);
-    let views_off_events_per_sec = rescan_events as f64 / rescan_wall.max(1e-12);
-    let sched_off_events_per_sec = unsched_events as f64 / unsched_wall.max(1e-12);
-    let suppressed_pokes = {
-        let e = cluster.engine_stats();
-        e.suppressed_refresh_pokes + e.suppressed_guard_pokes - suppressed_before
-    };
+    let reference_events_per_sec = reference_events as f64 / reference_wall.max(1e-12);
     ChordResult {
         nodes,
         build_wall_secs,
@@ -420,15 +329,11 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
         wall_secs: wall,
         events_per_sec,
         messages_per_virtual_sec: sent as f64 / (slice * windows).max(1) as f64,
-        generic_events_per_sec,
-        fused_speedup: events_per_sec / generic_events_per_sec.max(1e-12),
-        views_off_events_per_sec,
-        views_speedup: events_per_sec / views_off_events_per_sec.max(1e-12),
-        sched_off_events_per_sec,
-        sched_speedup: events_per_sec / sched_off_events_per_sec.max(1e-12),
-        suppressed_pokes,
+        reference_events_per_sec,
+        reference_speedup: events_per_sec / reference_events_per_sec.max(1e-12),
+        suppressed_pokes: cluster.engine_stats().suppressed_guard_pokes - suppressed_before,
         full_scans_per_event: full_scans as f64 / events.max(1) as f64,
-        views_off_full_scans_per_event: rescan_full_scans as f64 / events.max(1) as f64,
+        reference_full_scans_per_event: reference_full_scans as f64 / events.max(1) as f64,
         storage_ops: cluster.storage_ops(),
         sim_ops: cluster.sim_ops(),
         engine_ops: cluster.engine_stats(),
@@ -451,151 +356,55 @@ fn bench_join_seed(nodes: usize, warmup_secs: u64) -> JoinSeedResult {
     }
 }
 
-/// Runs the strand-equivalence gate: the same staggered-bring-up ring
-/// planned with fused strands and with the generic element chains must
-/// produce identical NetStats and event counts. The fused plan's padded
-/// strands are designed to preserve the engine's breadth-first emission
-/// schedule exactly; this gate is the end-to-end proof.
-fn strand_gate(nodes: usize, warmup_secs: u64) -> StrandGate {
-    let run = |fuse: bool| {
-        let mut cluster = ChordCluster::builder(nodes, 42)
-            .fuse_strands(fuse)
-            .build(warmup_secs);
-        cluster.sim.reset_stats();
-        let before = cluster.sim.events_processed();
-        cluster.run_for(60.0);
-        let s = cluster.sim.stats();
-        GoldenPin {
-            messages_sent: s.messages_sent,
-            messages_delivered: s.messages_delivered,
-            messages_dropped: s.messages_dropped,
-            bytes_sent: s.bytes_sent,
-            events_processed: cluster.sim.events_processed() - before,
-        }
-    };
-    let fused = run(true);
-    let generic = run(false);
-    StrandGate {
-        nodes,
-        fused_strand_count: p2_overlays::chord::shared_plan(true).fused_strand_count(),
-        fused,
-        generic,
-        matches: fused == generic,
-    }
-}
-
-/// Runs the incrementalization equivalence gate: the same staggered
-/// bring-up ring planned with materialized views and delta-fed aggregate
-/// probes, and with the rescanning translation, must produce identical
-/// NetStats and event counts. Views keep emission poke-driven through the
-/// shared strand executor precisely so this holds bit-for-bit; the gate is
-/// the end-to-end proof, and the full-scan counters show the work saved.
-fn view_gate(nodes: usize, warmup_secs: u64) -> ViewGate {
-    let run = |views: bool| {
-        let mut cluster = ChordCluster::builder(nodes, 42)
-            .materialize_views(views)
-            .build(warmup_secs);
-        cluster.sim.reset_stats();
-        let before = cluster.sim.events_processed();
-        let scans_before = cluster.storage_ops().full_scans;
-        cluster.run_for(60.0);
-        let s = cluster.sim.stats();
-        let pin = GoldenPin {
-            messages_sent: s.messages_sent,
-            messages_delivered: s.messages_delivered,
-            messages_dropped: s.messages_dropped,
-            bytes_sent: s.bytes_sent,
-            events_processed: cluster.sim.events_processed() - before,
-        };
-        (pin, cluster.storage_ops().full_scans - scans_before)
-    };
-    let (views_on, views_on_full_scans) = run(true);
-    let (views_off, views_off_full_scans) = run(false);
-    ViewGate {
-        nodes,
-        mat_view_count: p2_overlays::chord::shared_plan(true).mat_view_count(),
-        views_on,
-        views_off,
-        views_on_full_scans,
-        views_off_full_scans,
-        matches: views_on == views_off,
-    }
-}
-
-/// The full per-node routing state of every up node (succ, pred, bestSucc
-/// and finger rows, sorted), for the scheduler-equivalence comparison.
-fn routing_state(cluster: &ChordCluster) -> Vec<(String, Vec<Vec<String>>)> {
-    cluster
-        .sim
-        .up_addresses_iter()
-        .map(|a| {
-            let tables = ["succ", "pred", "bestSucc", "finger"]
-                .iter()
-                .map(|t| cluster.table_rows(a, t))
-                .collect();
-            (a.to_string(), tables)
-        })
-        .collect()
-}
-
-/// Issues the same deterministic lookup workload on a cluster and returns
-/// each lookup's `(owner, hops)` outcome.
-fn lookup_outcomes(cluster: &mut ChordCluster, n_lookups: usize) -> Vec<Option<(String, usize)>> {
-    let origins = cluster.up_addrs();
-    let handles: Vec<_> = (0..n_lookups)
-        .map(|i| {
-            let origin = origins[i % origins.len()].clone();
-            let key = Uint160::hash_of(format!("sched-gate-key-{i}").as_bytes());
-            cluster.issue_lookup_from(&origin, key)
-        })
-        .collect();
-    cluster.run_for(30.0);
-    handles
-        .iter()
-        .map(|h| cluster.outcome(h).map(|o| (o.owner, o.hops)))
-        .collect()
-}
-
-/// Runs the delta-scheduling equivalence gate: the same staggered
-/// bring-up ring with the scheduler on (the default) and off must produce
-/// identical NetStats and event counts over the gate window, hold
-/// bit-identical final routing state on a single successor cycle, and
-/// resolve a deterministic lookup workload identically. Suppression only
-/// ever skips invocations proved to be no-ops, so any observable
-/// divergence is a scheduler soundness bug; the gate also checks the
-/// scheduled run suppressed a non-zero number of pokes, so it cannot pass
-/// vacuously.
-fn sched_gate(nodes: usize, warmup_secs: u64) -> SchedGate {
-    let build = |schedule: bool| {
+/// Runs the equivalence gate: the same staggered-bring-up ring in the
+/// default and the reference lowering must produce identical NetStats and
+/// event counts over the gate window, hold bit-identical final routing
+/// state, agree on single-cycle structure, and resolve a deterministic
+/// lookup workload identically. Fused strands keep the generic chain's
+/// emission schedule through their pads, views and delta-fed probes
+/// reproduce the rescanning emissions exactly, and the wake guards only
+/// skip invocations proved to be no-ops, so any observable divergence is a
+/// soundness bug in one of them. The gate also checks that the default run
+/// suppressed pokes and scanned less than the reference, so it cannot pass
+/// by comparing a lowering with itself.
+fn equiv_gate(nodes: usize, warmup_secs: u64) -> EquivGate {
+    let build = |reference: bool| {
         ChordCluster::builder(nodes, 42)
-            .delta_schedule(schedule)
+            .reference(reference)
             .build(warmup_secs)
     };
-    let mut on = build(true);
-    let mut off = build(false);
-    let (scheduled, _) = pinned_window(&mut on);
-    let (unscheduled, _) = pinned_window(&mut off);
-    let state_matches = routing_state(&on) == routing_state(&off);
-    let single_cycle_agrees = on.is_single_cycle() == off.is_single_cycle();
-    let on_lookups = lookup_outcomes(&mut on, 16);
-    let off_lookups = lookup_outcomes(&mut off, 16);
-    let lookups_match = on_lookups == off_lookups && on_lookups.iter().all(Option::is_some);
-    let e = on.engine_stats();
-    let suppressed_pokes = e.suppressed_refresh_pokes + e.suppressed_guard_pokes;
-    SchedGate {
+    let mut default_ring = build(false);
+    let mut reference_ring = build(true);
+    let scans = |ring: &ChordCluster| ring.storage_ops().full_scans;
+    let (default_scans_before, reference_scans_before) =
+        (scans(&default_ring), scans(&reference_ring));
+    let (default, _) = pinned_window(&mut default_ring);
+    let (reference, _) = pinned_window(&mut reference_ring);
+    let default_full_scans = scans(&default_ring) - default_scans_before;
+    let reference_full_scans = scans(&reference_ring) - reference_scans_before;
+    let state_matches = default_ring.routing_state() == reference_ring.routing_state();
+    let single_cycle_agrees = default_ring.is_single_cycle() == reference_ring.is_single_cycle();
+    let default_lookups = default_ring.probe_lookups(16);
+    let reference_lookups = reference_ring.probe_lookups(16);
+    let lookups_match =
+        default_lookups == reference_lookups && default_lookups.iter().all(Option::is_some);
+    let suppressed_pokes = default_ring.engine_stats().suppressed_guard_pokes;
+    EquivGate {
         nodes,
-        refresh_mask_count: p2_overlays::chord::shared_plan(true).refresh_mask_count(),
-        scheduled,
-        unscheduled,
+        default,
+        reference,
         suppressed_pokes,
+        default_full_scans,
+        reference_full_scans,
         state_matches,
         single_cycle_agrees,
         lookups_match,
-        matches: scheduled == unscheduled
+        matches: default == reference
             && state_matches
             && single_cycle_agrees
             && lookups_match
-            && suppressed_pokes > 0,
+            && suppressed_pokes > 0
+            && default_full_scans < reference_full_scans,
     }
 }
 
@@ -700,6 +509,7 @@ struct ObsGolden {
 #[derive(Debug, Clone, Serialize)]
 struct ObsReport {
     bench: String,
+    machine_cores: usize,
     profiles: Vec<ObsSizeResult>,
     golden: ObsGolden,
 }
@@ -845,6 +655,7 @@ fn run_obs_mode(out_path: &str, smoke: bool, sizes: &[usize]) -> i32 {
 
     let report = ObsReport {
         bench: "obs_profile".to_string(),
+        machine_cores: machine_cores(),
         profiles,
         golden,
     };
@@ -978,11 +789,16 @@ fn expect_number(obj: &[(String, Json)], key: &str) -> Result<(), String> {
     }
 }
 
+/// Logical cores available to this process, recorded in every report.
+fn machine_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 fn run_par_mode(out_path: &str, smoke: bool, sizes: &[usize], workers: &[usize]) -> i32 {
     let (warmup_secs, measure_secs) = if smoke { (60, 10) } else { (300, 30) };
-    let machine_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let machine_cores = machine_cores();
 
     let mut scaling = Vec::new();
     for &n in sizes {
@@ -1056,8 +872,7 @@ fn main() {
     let smoke = flag("--smoke");
     let par = flag("--par");
     let obs = flag("--obs");
-    let view_gate_only = flag("--view-gate");
-    let sched_gate_only = flag("--sched-gate");
+    let equiv_gate_only = flag("--equiv-gate");
     let out_path = value("--out").unwrap_or_else(|| {
         if par {
             "BENCH_parsim.json".to_string()
@@ -1077,48 +892,27 @@ fn main() {
     // staggered bring-up: ~300 virtual seconds forms a fully correct ring.
     let (warmup_secs, measure_secs) = if smoke { (60, 10) } else { (300, 30) };
 
-    // Gate-only mode (the CI smoke step): run the incrementalization
+    // Gate-only mode (the CI smoke step): run the default-vs-reference
     // equivalence gate and exit, writing no report.
-    if view_gate_only {
+    if equiv_gate_only {
         let gate_nodes = if smoke { 16 } else { 64 };
-        eprintln!("view gate: {gate_nodes}-node ring, incremental vs rescanning plans...");
-        let gate = view_gate(gate_nodes, if smoke { 60 } else { 120 });
+        eprintln!("equivalence gate: {gate_nodes}-node ring, default vs reference lowering...");
+        let gate = equiv_gate(gate_nodes, if smoke { 60 } else { 120 });
         eprintln!(
-            "  {} materialized views; on {:?} ({} full scans) vs off {:?} ({} full scans) -> {}",
-            gate.mat_view_count,
-            gate.views_on,
-            gate.views_on_full_scans,
-            gate.views_off,
-            gate.views_off_full_scans,
-            if gate.matches { "MATCH" } else { "DIVERGED" }
-        );
-        if !gate.matches {
-            eprintln!("error: view-materialized run diverged from the rescanning run");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
-
-    // Gate-only mode (the CI smoke step): run the delta-scheduling
-    // equivalence gate and exit, writing no report.
-    if sched_gate_only {
-        let gate_nodes = if smoke { 16 } else { 64 };
-        eprintln!("sched gate: {gate_nodes}-node ring, delta scheduler on vs off...");
-        let gate = sched_gate(gate_nodes, if smoke { 60 } else { 120 });
-        eprintln!(
-            "  {} static masks, {} suppressed pokes; on {:?} vs off {:?}; \
+            "  default {:?} vs reference {:?}; {} suppressed pokes; full scans {} vs {}; \
              state {}, cycle {}, lookups {} -> {}",
-            gate.refresh_mask_count,
+            gate.default,
+            gate.reference,
             gate.suppressed_pokes,
-            gate.scheduled,
-            gate.unscheduled,
+            gate.default_full_scans,
+            gate.reference_full_scans,
             gate.state_matches,
             gate.single_cycle_agrees,
             gate.lookups_match,
             if gate.matches { "MATCH" } else { "DIVERGED" }
         );
         if !gate.matches {
-            eprintln!("error: delta-scheduled run diverged from the poke-everything run");
+            eprintln!("error: default lowering diverged from the reference lowering");
             std::process::exit(1);
         }
         std::process::exit(0);
@@ -1161,25 +955,19 @@ fn main() {
         let r = bench_chord(n, warmup_secs, measure_secs);
         eprintln!(
             "  bring-up {:.2} s wall, ring {:.2}, {} events in {:.3} s -> {:>12.0} events/s \
-             ({:>8.0} msgs/virtual-s; generic plan {:>12.0} events/s, fused {:.2}x; \
-             rescanning plan {:>12.0} events/s, views {:.2}x; \
-             poke-everything plan {:>12.0} events/s, sched {:.2}x, {} suppressed; \
-             full scans/event {:.4} vs {:.4})",
+             ({:>8.0} msgs/virtual-s, {} suppressed; reference lowering {:>12.0} events/s, \
+             default {:.2}x; full scans/event {:.4} vs {:.4})",
             r.build_wall_secs,
             r.ring_correctness,
             r.events,
             r.wall_secs,
             r.events_per_sec,
             r.messages_per_virtual_sec,
-            r.generic_events_per_sec,
-            r.fused_speedup,
-            r.views_off_events_per_sec,
-            r.views_speedup,
-            r.sched_off_events_per_sec,
-            r.sched_speedup,
             r.suppressed_pokes,
+            r.reference_events_per_sec,
+            r.reference_speedup,
             r.full_scans_per_event,
-            r.views_off_full_scans_per_event
+            r.reference_full_scans_per_event
         );
         chord_rings.push(r);
     }
@@ -1209,55 +997,12 @@ fn main() {
         join_seed_bring_up.push(r);
     }
 
-    let gate_nodes = if smoke { 16 } else { 64 };
-    eprintln!("strand gate: {gate_nodes}-node ring, fused vs generic plans...");
-    let gate = strand_gate(gate_nodes, if smoke { 60 } else { 120 });
-    eprintln!(
-        "  {} fused strands; fused {:?} vs generic {:?} -> {}",
-        gate.fused_strand_count,
-        gate.fused,
-        gate.generic,
-        if gate.matches { "MATCH" } else { "DIVERGED" }
-    );
-    let strands_match = gate.matches;
-
-    eprintln!("view gate: {gate_nodes}-node ring, incremental vs rescanning plans...");
-    let vgate = view_gate(gate_nodes, if smoke { 60 } else { 120 });
-    eprintln!(
-        "  {} materialized views; on {:?} ({} full scans) vs off {:?} ({} full scans) -> {}",
-        vgate.mat_view_count,
-        vgate.views_on,
-        vgate.views_on_full_scans,
-        vgate.views_off,
-        vgate.views_off_full_scans,
-        if vgate.matches { "MATCH" } else { "DIVERGED" }
-    );
-    let views_match = vgate.matches;
-
-    eprintln!("sched gate: {gate_nodes}-node ring, delta scheduler on vs off...");
-    let sgate = sched_gate(gate_nodes, if smoke { 60 } else { 120 });
-    eprintln!(
-        "  {} static masks, {} suppressed pokes; on {:?} vs off {:?}; \
-         state {}, cycle {}, lookups {} -> {}",
-        sgate.refresh_mask_count,
-        sgate.suppressed_pokes,
-        sgate.scheduled,
-        sgate.unscheduled,
-        sgate.state_matches,
-        sgate.single_cycle_agrees,
-        sgate.lookups_match,
-        if sgate.matches { "MATCH" } else { "DIVERGED" }
-    );
-    let sched_matches = sgate.matches;
-
     let report = BenchReport {
         bench: "sim_event_loop".to_string(),
+        machine_cores: machine_cores(),
         toy_event_loop,
         chord_rings,
         join_seed_bring_up,
-        strand_gate: gate,
-        view_gate: vgate,
-        sched_gate: sgate,
     };
     let json = to_json(&report);
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -1266,16 +1011,4 @@ fn main() {
     }
     println!("{json}");
     eprintln!("wrote {out_path}");
-    if !strands_match {
-        eprintln!("error: strand-compiled run diverged from the generic-plan run");
-        std::process::exit(1);
-    }
-    if !views_match {
-        eprintln!("error: view-materialized run diverged from the rescanning run");
-        std::process::exit(1);
-    }
-    if !sched_matches {
-        eprintln!("error: delta-scheduled run diverged from the poke-everything run");
-        std::process::exit(1);
-    }
 }

@@ -20,68 +20,31 @@ pub struct NodeConfig {
     /// Seed for the node's deterministic RNG (event identifiers, `f_rand`,
     /// periodic phase jitter).
     pub seed: u64,
-    /// Tuple names to observe; matching tuples arriving at this node are
-    /// recorded and retrievable via [`P2Node::collector`].
-    pub watches: Vec<String>,
-    /// Whether periodic timers start at a random phase (recommended for
-    /// multi-node simulations).
-    pub jitter_periodics: bool,
-    /// Whether eligible rule chains are compiled into fused strand
-    /// elements (on by default; disable to debug against the generic
-    /// element graph).
-    pub fuse_strands: bool,
-    /// Whether pure-join table rules become incrementally maintained view
-    /// elements and eligible aggregation probes run delta-fed (on by
-    /// default; disable to force the recompute-everything lowering).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling suppresses provably no-op
-    /// pokes (on by default; disable to restore the poke-everything
-    /// behaviour).
-    pub delta_schedule: bool,
+    /// How the program is planned: watched tuple names (retrievable via
+    /// [`P2Node::collector`]), periodic phase jitter, and the lowering.
+    pub plan: PlanConfig,
 }
 
 impl NodeConfig {
-    /// Creates a configuration with the given address and seed.
+    /// Creates a configuration with the given address and seed, planned
+    /// with [`PlanConfig::new`].
     pub fn new(addr: impl Into<String>, seed: u64) -> NodeConfig {
         NodeConfig {
             addr: addr.into(),
             seed,
-            watches: Vec::new(),
-            jitter_periodics: true,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            plan: PlanConfig::new(),
         }
     }
 
     /// Adds a watched tuple name.
     pub fn watch(mut self, name: impl Into<String>) -> NodeConfig {
-        self.watches.push(name.into());
+        self.plan = self.plan.watch(name);
         self
     }
 
     /// Disables periodic phase jitter (deterministic timer schedule).
     pub fn without_jitter(mut self) -> NodeConfig {
-        self.jitter_periodics = false;
-        self
-    }
-
-    /// Disables rule-strand fusion (every rule uses the generic element
-    /// chain).
-    pub fn without_fusion(mut self) -> NodeConfig {
-        self.fuse_strands = false;
-        self
-    }
-
-    /// Disables materialized views and delta-fed aggregation probes.
-    pub fn without_views(mut self) -> NodeConfig {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling.
-    pub fn without_scheduling(mut self) -> NodeConfig {
-        self.delta_schedule = false;
+        self.plan = self.plan.without_jitter();
         self
     }
 }
@@ -123,14 +86,7 @@ impl P2Node {
         config: NodeConfig,
         extra_facts: Vec<Tuple>,
     ) -> Result<P2Node, PlanError> {
-        let plan_config = PlanConfig {
-            watches: config.watches.clone(),
-            jitter_periodics: config.jitter_periodics,
-            fuse_strands: config.fuse_strands,
-            materialize_views: config.materialize_views,
-            delta_schedule: config.delta_schedule,
-        };
-        let shared = PlannedProgram::compile(program, &plan_config)?;
+        let shared = PlannedProgram::compile(program, &config.plan)?;
         Ok(P2Node::from_plan(
             &shared,
             &config.addr,
@@ -283,6 +239,14 @@ impl P2Node {
     /// Approximate bytes of soft state currently held by the node.
     pub fn resident_table_bytes(&self) -> usize {
         self.catalog.resident_bytes()
+    }
+
+    /// Turns the engine's delta-driven scheduling (its `would_wake`
+    /// guards) on or off, overriding what the plan's lowering chose. Only
+    /// oracle tests that need the default lowering with every poke
+    /// delivered turn it off.
+    pub fn set_scheduling(&mut self, on: bool) {
+        self.engine.set_scheduling(on);
     }
 
     /// Human-readable dump of the planned dataflow graph.

@@ -17,8 +17,8 @@
 //!
 //! # Incremental lowering
 //!
-//! With [`PlanConfig::materialize_views`] (the default), two further shapes
-//! leave the rescanning translation:
+//! The default lowering takes two further shapes out of the rescanning
+//! translation:
 //!
 //! * A non-delete rule whose every body predicate is a stored table, with
 //!   pure programs and no probe or anti-join of a trigger table, lowers to
@@ -43,32 +43,24 @@
 //!   the mirror from a counted scan.
 //!
 //! Both consume pooled per-table [`DeltaSubscription`]s created in
-//! [`PlannedProgram::instantiate`]. [`PlanConfig::without_views`] is the
-//! escape hatch back to the rescanning translation; the `view_gate` in
-//! `sim_bench` pins both translations to identical event streams.
+//! [`PlannedProgram::instantiate`].
 //!
 //! # Delta-driven scheduling
 //!
-//! With [`PlanConfig::delta_schedule`] (the default), the planner also
-//! compiles a per-element **refresh suppression mask** consumed by the
-//! engine's router. The table layer tags each Insert-element poke with a
-//! [`p2_table::DeltaKind`]: `Assert` for genuinely new or replaced rows,
-//! `Refresh` for keyed soft-state re-inserts that left the table's rows
-//! unchanged (`InsertOutcome::Refreshed`, which logs *no* delta). The mask
-//! marks the entry element of every table-delta-triggered strand whose rule
-//! the whole-program analyzer classified `refresh_transparent` and whose
-//! head is *transitively* TTL-neutral — the skipped re-derivation cascade
-//! provably sustains no soft state anywhere downstream; see
-//! [`Builder::refresh_neutral_preds`] for the fixpoint and
-//! [`Builder::mask_refresh_entry`] for the soundness argument and the
-//! deliberate exclusion of delta-fed consumers. Engines drop
-//! `Refresh` pokes into masked elements at routing time, and additionally
-//! consult `Element::would_wake` before invoking any element, letting
-//! strands, table aggregates, and views veto pokes that provably produce no
-//! emission, send, or state change. [`PlanConfig::without_scheduling`]
-//! restores the poke-everything behaviour bit-for-bit (the historical
-//! golden pins run with it); the `sched_gate` in `sim_bench` pins both
-//! modes to identical final ring state.
+//! Engines instantiated from a default-lowered plan run with scheduling
+//! on: before invoking any element they consult `Element::would_wake`,
+//! letting fused strands, table aggregates, views and delta-fed probes
+//! veto pokes that provably produce no emission, send, or state change
+//! (see the *Delta-driven scheduling* section of `p2_dataflow::engine`).
+//!
+//! # The reference lowering
+//!
+//! [`PlanConfig::reference`] selects the one alternative lowering: every
+//! rule as a generic element chain, every aggregation probe rescanning its
+//! table, no views, and scheduling off. It is the oracle every equivalence
+//! check compares the default against (the `--equiv-gate` of `sim_bench`,
+//! the strand and lowering proptests): both lowerings must produce
+//! bit-identical event streams and routing state.
 //!
 //! # Shared plans
 //!
@@ -87,10 +79,8 @@
 //! A thousand-node simulation therefore pays the expensive translation once
 //! instead of a thousand times, and the per-node resident footprint shrinks
 //! to the genuinely per-node state (tables, element scratch, engine queue).
-//! [`plan`] remains as the one-shot convenience wrapper (compile +
-//! instantiate) for single-node uses.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use p2_dataflow::elements::{
@@ -110,13 +100,9 @@ use p2_value::Value;
 use crate::binding::Layout;
 use crate::error::PlanError;
 
-/// Options controlling how a program is planned for one node.
+/// Node-independent planning configuration.
 #[derive(Debug, Clone)]
-pub struct PlanOptions {
-    /// The node's network address.
-    pub local_addr: String,
-    /// Seed for the node's deterministic RNG.
-    pub seed: u64,
+pub struct PlanConfig {
     /// Tuple names to attach observation taps to (results are available via
     /// [`Planned::collectors`]).
     pub watches: Vec<String>,
@@ -124,130 +110,27 @@ pub struct PlanOptions {
     /// period (recommended for simulations; disable for deterministic unit
     /// tests).
     pub jitter_periodics: bool,
-    /// Whether eligible rule chains are compiled into fused strand
-    /// elements (see [`PlanConfig::fuse_strands`]).
-    pub fuse_strands: bool,
-    /// Whether pure-join table rules are lowered to incrementally
-    /// maintained view elements and aggregation probes run delta-fed
-    /// (see [`PlanConfig::materialize_views`]).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling is enabled: refresh-kind
-    /// pokes are suppressed into refresh-transparent rule strands and
-    /// elements may veto provably no-op invocations
-    /// (see [`PlanConfig::delta_schedule`]).
-    pub delta_schedule: bool,
-}
-
-impl PlanOptions {
-    /// Creates options for a node with the given address and seed.
-    pub fn new(local_addr: impl Into<String>, seed: u64) -> PlanOptions {
-        PlanOptions {
-            local_addr: local_addr.into(),
-            seed,
-            watches: Vec::new(),
-            jitter_periodics: true,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
-        }
-    }
-
-    /// Adds a watched tuple name.
-    pub fn watch(mut self, name: impl Into<String>) -> PlanOptions {
-        self.watches.push(name.into());
-        self
-    }
-
-    /// Disables periodic phase jitter.
-    pub fn without_jitter(mut self) -> PlanOptions {
-        self.jitter_periodics = false;
-        self
-    }
-
-    /// Disables rule-strand fusion (every rule uses the generic element
-    /// chain).
-    pub fn without_fusion(mut self) -> PlanOptions {
-        self.fuse_strands = false;
-        self
-    }
-
-    /// Disables materialized views and delta-fed aggregation probes
-    /// (everything recomputes by scanning, the pre-incremental behaviour).
-    pub fn without_views(mut self) -> PlanOptions {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling (every delta pokes every
-    /// downstream strand, the pre-scheduling behaviour).
-    pub fn without_scheduling(mut self) -> PlanOptions {
-        self.delta_schedule = false;
-        self
-    }
-}
-
-/// Node-independent planning configuration: everything [`PlanOptions`]
-/// carries except the per-node address and seed.
-#[derive(Debug, Clone)]
-pub struct PlanConfig {
-    /// Tuple names to attach observation taps to.
-    pub watches: Vec<String>,
-    /// Whether `periodic` sources start at a random phase.
-    pub jitter_periodics: bool,
-    /// Whether eligible rule chains (at most one table join, no
-    /// aggregation probe, no RNG builtins) are fused into a single
-    /// [`FusedStrand`] element followed by schedule-preserving pads,
-    /// instead of the generic element chain. On by default; the generic
-    /// graph remains the fallback for every other shape, and
-    /// [`PlanConfig::without_fusion`] forces it everywhere (used by the
-    /// strand-equivalence gates).
-    pub fuse_strands: bool,
-    /// Whether the plan is lowered incrementally: pure-join table rules
-    /// become [`MatView`] elements maintained from their trigger tables'
-    /// delta streams, and eligible aggregation probes run delta-fed
-    /// ([`AggProbe::delta_fed`]) instead of rescanning per event.
-    /// On by default; [`PlanConfig::without_views`] restores the
-    /// recompute-everything lowering (used by the view-equivalence gate
-    /// and as the escape hatch if a maintenance bug surfaces).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling is enabled. When on, the
-    /// planner compiles a per-element *refresh suppression mask*: the
-    /// entry element of every table-delta-triggered strand whose rule is
-    /// `refresh_transparent` (per the whole-program analyzer) and whose
-    /// head is transitively TTL-neutral (the skipped re-derivation
-    /// cascade sustains no soft state) is marked, and engines drop
-    /// [`p2_table::DeltaKind::Refresh`] pokes into marked elements at
-    /// routing time. Engines additionally ask elements
-    /// (`Element::would_wake`) to veto pokes that provably produce no
-    /// emission, send, or state change. On by default;
-    /// [`PlanConfig::without_scheduling`] restores the poke-everything
-    /// behaviour bit-for-bit (used by the scheduling-equivalence gate and
-    /// the historical golden pins).
-    pub delta_schedule: bool,
+    /// Whether the plan uses the reference lowering (see the module-level
+    /// *The reference lowering* section) instead of the default one: fused
+    /// strands, [`MatView`] elements, delta-fed [`AggProbe`]s and
+    /// scheduling on.
+    pub reference: bool,
 }
 
 impl Default for PlanConfig {
+    /// Same as [`PlanConfig::new`].
     fn default() -> PlanConfig {
-        PlanConfig {
-            watches: Vec::new(),
-            jitter_periodics: false,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
-        }
+        PlanConfig::new()
     }
 }
 
 impl PlanConfig {
-    /// Creates a config with jitter, strand fusion, view materialization,
-    /// and delta scheduling enabled, no watches.
+    /// Creates a default-lowered config with jitter on and no watches.
     pub fn new() -> PlanConfig {
         PlanConfig {
             watches: Vec::new(),
             jitter_periodics: true,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            reference: false,
         }
     }
 
@@ -263,21 +146,10 @@ impl PlanConfig {
         self
     }
 
-    /// Disables rule-strand fusion.
-    pub fn without_fusion(mut self) -> PlanConfig {
-        self.fuse_strands = false;
-        self
-    }
-
-    /// Disables materialized views and delta-fed aggregation probes.
-    pub fn without_views(mut self) -> PlanConfig {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling.
-    pub fn without_scheduling(mut self) -> PlanConfig {
-        self.delta_schedule = false;
+    /// Selects the reference lowering: generic element chains, rescanning
+    /// aggregation probes, no views, scheduling off.
+    pub fn reference(mut self) -> PlanConfig {
+        self.reference = true;
         self
     }
 }
@@ -290,21 +162,6 @@ pub struct Planned {
     pub catalog: Catalog,
     /// Observation buffers for each watched tuple name.
     pub collectors: HashMap<String, CollectorHandle>,
-}
-
-/// Plans a validated OverLog program into a per-node dataflow engine
-/// (compile + instantiate in one step; multi-node callers should compile a
-/// [`PlannedProgram`] once and instantiate it per node).
-pub fn plan(program: &Program, opts: &PlanOptions) -> Result<Planned, PlanError> {
-    let config = PlanConfig {
-        watches: opts.watches.clone(),
-        jitter_periodics: opts.jitter_periodics,
-        fuse_strands: opts.fuse_strands,
-        materialize_views: opts.materialize_views,
-        delta_schedule: opts.delta_schedule,
-    };
-    let planned = PlannedProgram::compile(program, &config)?;
-    Ok(planned.instantiate(opts.local_addr.clone(), opts.seed))
 }
 
 /// A node-independent element description; instantiation turns it into a
@@ -338,7 +195,7 @@ enum ElementSpec {
     /// fed from a pooled delta subscription and keep a mirror of the table
     /// instead of rescanning, evaluating their programs once per distinct
     /// projection of the row columns read past `event_arity`; it is set
-    /// only when the plan materializes views and the programs are pure
+    /// only in the default lowering and when the programs are pure
     /// (`AggProbe::can_increment`).
     AggProbe {
         table: usize,
@@ -486,15 +343,9 @@ pub struct PlannedProgram {
     jitter_periodics: bool,
     fused_strands: usize,
     mat_views: usize,
-    /// Whether instantiated engines run with delta-driven scheduling on.
-    delta_schedule: bool,
-    /// Per-element refresh suppression mask, parallel to `specs`:
-    /// `refresh_masks[i]` means element `i` is the entry of a
-    /// table-delta-triggered strand whose rule is refresh-transparent
-    /// with a TTL-neutral head, so `DeltaKind::Refresh` pokes into it
-    /// may be dropped at routing time. Compiled unconditionally (it is
-    /// one cheap `Vec<bool>`), consumed only when `delta_schedule` is on.
-    refresh_masks: Vec<bool>,
+    /// Whether this is the reference lowering (instantiated engines run
+    /// with scheduling off).
+    reference: bool,
     /// Per-element observability metadata (rule id, kind, rule class),
     /// parallel to `specs`. Built unconditionally at compile time — it is
     /// one small shared allocation — and consumed only by engines that
@@ -532,27 +383,32 @@ impl PlannedProgram {
     }
 
     /// Number of rule strands compiled into fused single-call elements
-    /// (zero when fusion is disabled or no rule shape qualified).
+    /// (zero in the reference lowering or when no rule shape qualified).
     pub fn fused_strand_count(&self) -> usize {
         self.fused_strands
     }
 
     /// Number of rules lowered to incrementally maintained view elements
-    /// (zero when view materialization is disabled or no rule qualified).
+    /// (zero in the reference lowering or when no rule qualified).
     pub fn mat_view_count(&self) -> usize {
         self.mat_views
     }
 
-    /// Whether engines instantiated from this plan run with delta-driven
-    /// scheduling enabled.
-    pub fn delta_scheduled(&self) -> bool {
-        self.delta_schedule
-    }
-
-    /// Number of strand entry elements carrying a refresh suppression
-    /// mask (zero only if no table-delta-triggered rule qualified).
-    pub fn refresh_mask_count(&self) -> usize {
-        self.refresh_masks.iter().filter(|&&m| m).count()
+    /// Number of aggregation probes fed from their table's delta stream
+    /// instead of rescanning it (zero in the reference lowering).
+    pub fn delta_fed_probe_count(&self) -> usize {
+        self.specs
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s,
+                    ElementSpec::AggProbe {
+                        incremental: true,
+                        ..
+                    }
+                )
+            })
+            .count()
     }
 
     /// Per-element observability metadata: entry `i` describes element `i`
@@ -767,10 +623,7 @@ impl PlannedProgram {
 
         let mut engine = Engine::new(graph, local_addr, seed);
         engine.set_entry(self.entry);
-        if self.delta_schedule {
-            engine.set_refresh_masks(self.refresh_masks.clone());
-            engine.set_scheduling(true);
-        }
+        engine.set_scheduling(!self.reference);
         Planned {
             engine,
             catalog,
@@ -870,15 +723,6 @@ struct Builder<'a> {
     current_rule: Option<Arc<str>>,
     /// Per-element `(rule id, class)` attribution, parallel to `specs`.
     elem_rules: Vec<Option<(Arc<str>, RuleClass)>>,
-    /// Element ids eligible for refresh suppression: strand entries
-    /// recorded at the `TriggerSource::TableDelta` wiring site (see
-    /// [`Builder::mask_refresh_entry`]).
-    refresh_entries: Vec<usize>,
-    /// Predicates whose refresh-derivation cone provably sustains no soft
-    /// state: the greatest fixpoint of [`Builder::refresh_neutral_preds`].
-    /// A rule's suppressed re-derivation may starve everything downstream
-    /// of its head, so head membership here is the mask precondition.
-    refresh_neutral: HashSet<String>,
 }
 
 impl<'a> Builder<'a> {
@@ -922,7 +766,6 @@ impl<'a> Builder<'a> {
         // even for programs the analyzer has complaints about — the planner
         // only consumes the per-rule classification.
         let rule_classes = analyze::analyze(program).rule_classes;
-        let refresh_neutral = Self::refresh_neutral_preds(program, &rule_classes, &demux_names);
 
         let mut builder = Builder {
             program,
@@ -948,8 +791,6 @@ impl<'a> Builder<'a> {
             },
             current_rule: None,
             elem_rules: Vec::new(),
-            refresh_entries: Vec::new(),
-            refresh_neutral,
         };
         builder.demux_id = builder.add("demux", ElementSpec::Demux);
 
@@ -1097,10 +938,6 @@ impl<'a> Builder<'a> {
                 })
                 .collect(),
         });
-        let mut refresh_masks = vec![false; self.specs.len()];
-        for id in &self.refresh_entries {
-            refresh_masks[*id] = true;
-        }
         Ok(PlannedProgram {
             specs: self.specs,
             names: self.names,
@@ -1113,8 +950,7 @@ impl<'a> Builder<'a> {
             jitter_periodics: self.config.jitter_periodics,
             fused_strands: self.fused_strands,
             mat_views: self.mat_views,
-            delta_schedule: self.config.delta_schedule,
-            refresh_masks,
+            reference: self.config.reference,
             obs,
         })
     }
@@ -1177,7 +1013,7 @@ impl<'a> Builder<'a> {
             // Try the view lowering first: analyse every trigger's strand;
             // if each one qualifies, the whole rule becomes a single
             // incrementally maintained MatView element.
-            if self.config.materialize_views && !rule.delete && self.current_class.pure {
+            if !self.config.reference && !rule.delete && self.current_class.pure {
                 let mut trigger_ids = Vec::with_capacity(tables.len());
                 for t in &tables {
                     trigger_ids.push(self.table_id(rule, &t.name)?);
@@ -1407,7 +1243,7 @@ impl<'a> Builder<'a> {
     /// `stages.len() - 1` pads, so head tuples surface at exactly the BFS
     /// level the generic chain would have emitted them at.
     fn lower_stages(&mut self, rule: &Rule, stages: Vec<Stage>) -> Vec<usize> {
-        if self.config.fuse_strands
+        if !self.config.reference
             && self.current_class.deterministic
             && Self::stages_fusable(&stages)
         {
@@ -1543,7 +1379,6 @@ impl<'a> Builder<'a> {
                     PlanError::in_rule(&rule.id, format!("no insert element for table `{name}`"))
                 })?;
                 self.connect(insert, 0, entry.element, entry.port);
-                self.mask_refresh_entry(rule, entry.element);
             }
             TriggerSource::Periodic(pred) => {
                 let periodic = self.make_periodic(rule, pred)?;
@@ -1552,111 +1387,6 @@ impl<'a> Builder<'a> {
             }
         }
         Ok(())
-    }
-
-    /// The greatest set of predicates whose refresh-derivation cone
-    /// provably sustains no soft state.
-    ///
-    /// Suppressing a refresh poke into a rule skips the rule's duplicate
-    /// re-derivation — and with it the *entire cascade* downstream of its
-    /// head: TTL extensions of derived soft state, and further events
-    /// those extensions would have triggered. A head predicate is
-    /// therefore "TTL-neutral" only transitively. The fixpoint starts
-    /// optimistic (every stream and infinite-lifetime table is neutral;
-    /// finite-lifetime tables never are — their rows need the re-derived
-    /// refresh) and removes any predicate that *triggers* a rule which is
-    /// either not `refresh_transparent` (the duplicate event could
-    /// produce different output) or whose own head is not neutral (the
-    /// starvation propagates). Only trigger positions count: a join probe
-    /// reads the table's stored rows, which the suppressed poke leaves
-    /// untouched — the trigger table's TTL was already extended by the
-    /// insert that produced the poke. Delete-rule heads are exempt
-    /// (re-deleting already-deleted rows is idempotent).
-    fn refresh_neutral_preds(
-        program: &Program,
-        rule_classes: &[RuleClass],
-        all_names: &[String],
-    ) -> HashSet<String> {
-        let mut neutral: HashSet<String> = all_names.iter().cloned().collect();
-        for m in &program.materializations {
-            if m.to_spec().lifetime.is_some() {
-                neutral.remove(&m.name);
-            }
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (rule, class) in program.rules.iter().zip(rule_classes) {
-                let head_ok = rule.delete || neutral.contains(&rule.head.name);
-                if class.refresh_transparent && head_ok {
-                    continue;
-                }
-                // This rule must keep seeing refresh-derived events:
-                // whatever triggers it cannot be suppressed upstream.
-                let positives = rule.positive_predicates();
-                let stream_or_periodic = positives
-                    .iter()
-                    .any(|p| p.name == "periodic" || !program.is_materialized(&p.name));
-                for p in positives {
-                    if p.name == "periodic" {
-                        continue;
-                    }
-                    // Streams always trigger; table deltas trigger only
-                    // the all-table rules (stream rules merely probe).
-                    let triggers = !program.is_materialized(&p.name) || !stream_or_periodic;
-                    if triggers && neutral.remove(&p.name) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        neutral
-    }
-
-    /// Marks a table-delta-triggered strand entry for refresh
-    /// suppression, when sound.
-    ///
-    /// A `DeltaKind::Refresh` poke (keyed soft-state re-insert that left
-    /// the table's rows unchanged) may be dropped before it enters this
-    /// strand iff skipping the rule's re-run is a whole-system no-op:
-    ///
-    /// 1. the rule is `refresh_transparent` per the whole-program
-    ///    analyzer — its output on the refreshed tuple is identical to
-    ///    what it already produced, so the skipped derivations are pure
-    ///    duplicates;
-    /// 2. the head is transitively TTL-neutral
-    ///    ([`Builder::refresh_neutral_preds`]) or the rule is a delete —
-    ///    the skipped duplicates sustain no soft state anywhere
-    ///    downstream;
-    /// 3. the entry element is a plain strand-chain element. Delta-fed
-    ///    consumers (TableAgg, MatView, incremental AggProbe) must see
-    ///    every poke — a suppressed poke could strand a pending expiry
-    ///    delta in their subscription queue — so they are never masked
-    ///    statically; their `would_wake` guards are the sole authority.
-    ///
-    /// Notably, for the shipped Chord program this masks *nothing*: the
-    /// fixpoint proves every refresh cascade load-bearing (`succ`
-    /// refreshes keep `bestSucc`→`finger[0]` alive, `pred`/`succ` feed
-    /// the soft-state `pingNode`, …), which is exactly why the dynamic
-    /// `would_wake` guards carry the scheduling win there. Programs with
-    /// infinite-lifetime derived state do get masked entries (see the
-    /// planner tests).
-    fn mask_refresh_entry(&mut self, rule: &Rule, entry: usize) {
-        if !self.current_class.refresh_transparent {
-            return;
-        }
-        if !(rule.delete || self.refresh_neutral.contains(&rule.head.name)) {
-            return;
-        }
-        if matches!(
-            self.specs[entry],
-            ElementSpec::TableAgg { .. }
-                | ElementSpec::MatView { .. }
-                | ElementSpec::AggProbe { .. }
-        ) {
-            return;
-        }
-        self.refresh_entries.push(entry);
     }
 
     /// Analyses one strand of `rule` into its [`Stage`] list (trigger
@@ -1941,7 +1671,7 @@ impl<'a> Builder<'a> {
             // Rule-level purity subsumes the per-program `can_increment`
             // scan (the debug_assert in `AggProbe::delta_fed`
             // still cross-checks the compiled programs).
-            let incremental = self.config.materialize_views && self.current_class.pure;
+            let incremental = !self.config.reference && self.current_class.pure;
             debug_assert!(!incremental || AggProbe::can_increment(&filter, &agg_expr));
             stages.push(Stage::Other {
                 label: format!("{}:agg:{}", rule.id, pred.name),
@@ -2294,9 +2024,14 @@ mod tests {
     use super::*;
     use p2_overlog::compile_checked;
 
+    /// Compiles and instantiates `program` for one node.
+    fn plan(program: &Program, config: &PlanConfig) -> Result<Planned, PlanError> {
+        Ok(PlannedProgram::compile(program, config)?.instantiate("n1", 7))
+    }
+
     fn plan_src(src: &str) -> Result<Planned, PlanError> {
         let program = compile_checked(src).expect("program should parse and validate");
-        plan(&program, &PlanOptions::new("n1", 7).without_jitter())
+        plan(&program, &PlanConfig::new().without_jitter())
     }
 
     #[test]
@@ -2340,7 +2075,7 @@ mod tests {
     }
 
     #[test]
-    fn fusion_can_be_disabled_and_counts_strands() {
+    fn reference_lowering_uses_generic_chains_and_counts_strands() {
         let src = r#"
             materialize(sequence, infinity, 1, keys(1)).
             R1 refreshSeq@X(X, NewSeq) :- refreshEvent@X(X), sequence@X(X, Seq), NewSeq := Seq + 1.
@@ -2354,73 +2089,17 @@ mod tests {
             .describe()
             .contains("R1:strand"));
 
-        let generic = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_fusion(),
-        )
-        .unwrap();
+        assert!(fused.instantiate("n1", 1).engine.scheduling());
+
+        let generic =
+            PlannedProgram::compile(&program, &PlanConfig::new().without_jitter().reference())
+                .unwrap();
         assert_eq!(generic.fused_strand_count(), 0);
-        let desc = generic.instantiate("n1", 1).engine.describe();
+        let engine = generic.instantiate("n1", 1).engine;
+        assert!(!engine.scheduling());
+        let desc = engine.describe();
         assert!(desc.contains("R1:join:sequence"), "{desc}");
         assert!(!desc.contains("R1:strand"));
-    }
-
-    #[test]
-    fn refresh_masks_cover_transitively_neutral_delta_strands() {
-        // Each rule re-derives only a dead-end stream: the skipped
-        // refresh cascade sustains no soft state, so every delta-strand
-        // entry carries the suppression mask (two strands for the
-        // two-table M1, one for the single-table M2). With view lowering
-        // enabled the single-table M2 becomes a MatView instead —
-        // delta-fed consumers are never masked statically (their
-        // `would_wake` guards decide) — while M1 probes its co-trigger
-        // table and therefore keeps its masked strands in both modes.
-        let src = r#"
-            materialize(peer, 30, infinity, keys(1,2)).
-            materialize(link, infinity, infinity, keys(1,2)).
-            M1 seen@X(X, Y) :- peer@X(X, Y), link@X(X, Y).
-            M2 known@X(X, Y) :- peer@X(X, Y).
-        "#;
-        let program = compile_checked(src).unwrap();
-        let strands = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_views(),
-        )
-        .unwrap();
-        assert!(strands.delta_scheduled());
-        assert_eq!(strands.refresh_mask_count(), 3);
-        let viewed =
-            PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
-        assert_eq!(viewed.mat_view_count(), 1);
-        assert_eq!(viewed.refresh_mask_count(), 2);
-        assert!(!PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_scheduling(),
-        )
-        .unwrap()
-        .delta_scheduled());
-    }
-
-    #[test]
-    fn refresh_masks_respect_downstream_soft_state() {
-        // Identical shape, but the derived stream now sustains a
-        // finite-lifetime table: the TTL-neutrality fixpoint un-marks
-        // `seen`, so no strand entry may suppress refreshes — skipping
-        // the re-derivation would let `cache` rows expire.
-        let src = r#"
-            materialize(peer, 30, infinity, keys(1,2)).
-            materialize(link, infinity, infinity, keys(1,2)).
-            materialize(cache, 30, infinity, keys(1,2)).
-            M1 seen@X(X, Y) :- peer@X(X, Y), link@X(X, Y).
-            M2 cache@X(X, Y) :- seen@X(X, Y).
-        "#;
-        let program = compile_checked(src).unwrap();
-        let strands = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_views(),
-        )
-        .unwrap();
-        assert_eq!(strands.refresh_mask_count(), 0);
     }
 
     #[test]
@@ -2451,12 +2130,11 @@ mod tests {
         "#;
         let program = compile_checked(src).unwrap();
         let run = |fuse: bool| {
-            let opts = if fuse {
-                PlanOptions::new("n1", 7).without_jitter()
-            } else {
-                PlanOptions::new("n1", 7).without_jitter().without_fusion()
-            };
-            let mut planned = plan(&program, &opts).unwrap();
+            let mut config = PlanConfig::new().without_jitter();
+            if !fuse {
+                config = config.reference();
+            }
+            let mut planned = plan(&program, &config).unwrap();
             planned.engine.set_entry(Route {
                 element: 0,
                 port: 0,
@@ -2541,11 +2219,7 @@ mod tests {
             P2 pong@X(X, Y, E) :- ping@Y(Y, X, E).
         "#;
         let program = compile_checked(src).unwrap();
-        let planned = plan(
-            &program,
-            &PlanOptions::new("n1", 7).watch("pong").without_jitter(),
-        )
-        .unwrap();
+        let planned = plan(&program, &PlanConfig::new().watch("pong").without_jitter()).unwrap();
         assert!(planned.collectors.contains_key("pong"));
     }
 
@@ -2589,9 +2263,9 @@ mod tests {
             ),
             "nodes must not share table storage"
         );
-        // The shared plan matches the one-shot path structurally.
-        let one_shot = plan(&program, &PlanOptions::new("n1", 1).without_jitter()).unwrap();
-        assert_eq!(one_shot.engine.describe(), a.engine.describe());
+        // Compilation is deterministic: a fresh plan has the same structure.
+        let again = plan(&program, &PlanConfig::new().without_jitter()).unwrap();
+        assert_eq!(again.engine.describe(), a.engine.describe());
     }
 
     #[test]

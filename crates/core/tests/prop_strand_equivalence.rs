@@ -1,6 +1,7 @@
-//! Property test pinning strand fusion to the generic translation: a node
-//! planned with fused strands and a node planned with the generic element
-//! chains must produce **identical** output streams — same outgoing
+//! Property test pinning the default lowering to the reference one: a node
+//! planned with fused strands and scheduling on (the default) and a node
+//! planned with the generic element chains and scheduling off
+//! (`PlanConfig::reference`) must produce **identical** output streams — same outgoing
 //! tuples, in the same order (the simulator's determinism contract keys
 //! packet ordering on the per-sender emission index, so order is
 //! semantics) — and identical final table state, under arbitrary input
@@ -89,7 +90,7 @@ proptest! {
         let build = |fuse: bool| {
             let mut config = p2_core::PlanConfig::new().without_jitter();
             if !fuse {
-                config = config.without_fusion();
+                config = config.reference();
             }
             let shared = p2_core::PlannedProgram::compile(&program, &config)
                 .expect("test program plans");

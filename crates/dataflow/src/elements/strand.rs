@@ -35,8 +35,8 @@
 //! level the generic chain would have emitted them at. Because the queue
 //! keeps each parent's children contiguous, the final emission sequence of
 //! the padded strand is **bit-identical** to the generic chain's — the
-//! 100-node golden pins and the `sim_bench` strand gate both hold with
-//! fusion enabled. Dead tuples (filtered out mid-chain) never enter the
+//! 100-node golden pins and the `sim_bench` equivalence gate both hold
+//! with fusion enabled. Dead tuples (filtered out mid-chain) never enter the
 //! pad chain, which is where the queue-traffic savings come from on top of
 //! the per-hop work savings.
 //!
@@ -51,10 +51,11 @@
 //! OverLog programs has that shape (their table writes wrap around
 //! through the demultiplexer, landing after every sibling probe), and the
 //! equivalence is verified per program rather than assumed: the
-//! `sim_bench` strand gate and the fused-vs-generic ring A/B assert
-//! bit-identical event streams end-to-end and fail CI on divergence. A
-//! program that trips the gate should plan with
-//! `PlanConfig::without_fusion` until its rules are restructured.
+//! `sim_bench` equivalence gate and the default-vs-reference ring A/B
+//! assert bit-identical event streams end-to-end and fail CI on
+//! divergence. A program that trips the gate should plan with
+//! `PlanConfig::reference()` (generic chains) until its rules are
+//! restructured.
 
 use p2_pel::{EvalContext, Program};
 use p2_table::TableRef;

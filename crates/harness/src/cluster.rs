@@ -75,6 +75,22 @@ pub fn expected_owner(key: Uint160, nodes: &[String]) -> Option<String> {
     Some(ids[0].1.clone())
 }
 
+/// A Chord node of the `opts` program variant; `scheduling: false` turns
+/// its engine's delta-driven scheduling off whatever the lowering chose.
+fn chord_host(
+    addr: &str,
+    landmark: Option<&str>,
+    seed: u64,
+    opts: chord::ChordOpts,
+    scheduling: bool,
+) -> P2Host {
+    let mut host = chord::build_node_for(addr, landmark, seed, opts).expect("chord node plans");
+    if !scheduling {
+        host.node_mut().set_scheduling(false);
+    }
+    host
+}
+
 /// Configuration knobs for building a [`ChordCluster`]: the simulation
 /// engine (sequential or sharded multi-core) and the Chord program variant.
 #[derive(Debug, Clone)]
@@ -82,10 +98,8 @@ pub struct ChordClusterBuilder {
     n: usize,
     seed: u64,
     par_threads: Option<usize>,
-    join_seed: bool,
-    fuse_strands: bool,
-    materialize_views: bool,
-    delta_schedule: bool,
+    opts: chord::ChordOpts,
+    scheduling: bool,
 }
 
 impl ChordClusterBuilder {
@@ -100,36 +114,25 @@ impl ChordClusterBuilder {
     /// request their successor's successor list the moment the join lookup
     /// answers, instead of waiting for the first stabilization period.
     pub fn join_seed(mut self, on: bool) -> ChordClusterBuilder {
-        self.join_seed = on;
+        self.opts.join_seed = on;
         self
     }
 
-    /// Selects rule-strand fusion (default on). The generic element graph
-    /// is kept available for the strand-equivalence gates, which assert
-    /// that both translations produce bit-identical event streams.
-    pub fn fuse_strands(mut self, on: bool) -> ChordClusterBuilder {
-        self.fuse_strands = on;
+    /// Selects the reference lowering (default off): generic element
+    /// chains, rescanning aggregate probes, no views, scheduling off. The
+    /// equivalence gates run it against the default lowering and assert
+    /// bit-identical event streams and routing state.
+    pub fn reference(mut self, on: bool) -> ChordClusterBuilder {
+        self.opts.reference = on;
         self
     }
 
-    /// Selects incremental view materialization (default on): pure
-    /// table-join rules become [`p2_dataflow::elements::MatView`] elements
-    /// and eligible aggregate probes keep delta-fed per-group state. The
-    /// rescanning translation is kept available for the view-equivalence
-    /// gate, which asserts both produce bit-identical event streams.
-    pub fn materialize_views(mut self, on: bool) -> ChordClusterBuilder {
-        self.materialize_views = on;
-        self
-    }
-
-    /// Selects delta-driven rule scheduling (default on): refresh-kind
-    /// pokes into masked strands are dropped at routing time and elements
-    /// veto provably no-op invocations via `would_wake`. The
-    /// poke-everything behaviour is kept available for the
-    /// scheduling-equivalence gate and reproduces the historical golden
-    /// pins bit-for-bit.
-    pub fn delta_schedule(mut self, on: bool) -> ChordClusterBuilder {
-        self.delta_schedule = on;
+    /// Turns the engines' delta-driven scheduling off when `on` is false
+    /// (default: whatever the lowering chose — on for the default, off for
+    /// the reference). Off keeps the default lowering but delivers every
+    /// poke, which the poke-audit oracle test compares against.
+    pub fn scheduling(mut self, on: bool) -> ChordClusterBuilder {
+        self.scheduling = on;
         self
     }
 
@@ -158,10 +161,8 @@ pub struct ChordCluster {
     pub sim: AnySimulator<P2Host>,
     addrs: Vec<String>,
     seed: u64,
-    join_seed: bool,
-    fuse_strands: bool,
-    materialize_views: bool,
-    delta_schedule: bool,
+    opts: chord::ChordOpts,
+    scheduling: bool,
     next_event: i64,
     rng: SmallRng,
     brought_up_at: SimTime,
@@ -177,10 +178,8 @@ impl ChordCluster {
             n,
             seed,
             par_threads: None,
-            join_seed: false,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            opts: chord::ChordOpts::default(),
+            scheduling: true,
         }
     }
 
@@ -199,10 +198,8 @@ impl ChordCluster {
             n,
             seed,
             par_threads,
-            join_seed,
-            fuse_strands,
-            materialize_views,
-            delta_schedule,
+            opts,
+            scheduling,
         } = config;
         let mut sim = AnySimulator::build(NetworkConfig::emulab_default(seed), par_threads);
         let addrs: Vec<String> = (0..n).map(node_addr).collect();
@@ -212,29 +209,21 @@ impl ChordCluster {
             } else {
                 Some(addrs[0].as_str())
             };
-            let host = chord::build_node_for(
+            let host = chord_host(
                 addr,
                 landmark,
                 seed.wrapping_add(i as u64),
-                chord::ChordOpts {
-                    jitter: true,
-                    join_seed,
-                    fuse_strands,
-                    materialize_views,
-                    delta_schedule,
-                },
-            )
-            .expect("chord node must plan");
+                opts,
+                scheduling,
+            );
             sim.add_node(addr.clone(), host);
         }
         ChordCluster {
             sim,
             addrs,
             seed,
-            join_seed,
-            fuse_strands,
-            materialize_views,
-            delta_schedule,
+            opts,
+            scheduling,
             next_event: 1_000_000,
             rng: SmallRng::seed_from_u64(seed ^ 0x5EED),
             brought_up_at: SimTime::ZERO,
@@ -273,7 +262,7 @@ impl ChordCluster {
         // the SB1 period) — the finer sampling is what converts seeding's
         // faster convergence into shorter settle rounds; the total settle
         // budget per wave (120 virtual s) is unchanged.
-        let (settle, slices) = if cluster.join_seed {
+        let (settle, slices) = if cluster.opts.join_seed {
             (SimTime::from_secs(2), 60)
         } else {
             (SimTime::from_secs(5), 24)
@@ -392,18 +381,6 @@ impl ChordCluster {
         self.next_event
     }
 
-    /// The program variant every node of this cluster runs (also the cache
-    /// key under which [`chord::shared_plan_for`] holds the shared plan).
-    fn chord_opts(&self) -> chord::ChordOpts {
-        chord::ChordOpts {
-            jitter: true,
-            join_seed: self.join_seed,
-            fuse_strands: self.fuse_strands,
-            materialize_views: self.materialize_views,
-            delta_schedule: self.delta_schedule,
-        }
-    }
-
     /// All node addresses.
     pub fn addrs(&self) -> &[String] {
         &self.addrs
@@ -461,9 +438,7 @@ impl ChordCluster {
     }
 
     /// Sorted display rows of one node's named table (empty when the node
-    /// or table is absent). The scheduler-equivalence tests use this to
-    /// compare the full final routing state — successor lists, fingers,
-    /// predecessors — between delta-scheduled and poke-everything runs.
+    /// or table is absent).
     pub fn table_rows(&self, addr: &str, table: &str) -> Vec<String> {
         let Some(host) = self.sim.node(addr) else {
             return Vec::new();
@@ -475,6 +450,41 @@ impl ChordCluster {
         let mut rows: Vec<String> = guard.scan_iter().map(|t| t.to_string()).collect();
         rows.sort();
         rows
+    }
+
+    /// The full routing state of every up node: its succ, pred, bestSucc
+    /// and finger rows as sorted display rows. Two runs with equal states
+    /// hold bit-identical rings.
+    pub fn routing_state(&self) -> Vec<(String, Vec<Vec<String>>)> {
+        self.sim
+            .up_addresses_iter()
+            .map(|a| {
+                let tables = ["succ", "pred", "bestSucc", "finger"]
+                    .iter()
+                    .map(|t| self.table_rows(a, t))
+                    .collect();
+                (a.to_string(), tables)
+            })
+            .collect()
+    }
+
+    /// Issues `n` deterministic lookups (key `i` from the `i`-th up node,
+    /// round robin), runs 30 virtual seconds, and returns each lookup's
+    /// `(owner, hops)` outcome. Two equivalent rings give equal answers.
+    pub fn probe_lookups(&mut self, n: usize) -> Vec<Option<(String, usize)>> {
+        let origins = self.up_addrs();
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let origin = &origins[i % origins.len()];
+                let key = Uint160::hash_of(format!("probe-key-{i}").as_bytes());
+                self.issue_lookup_from(origin, key)
+            })
+            .collect();
+        self.run_for(30.0);
+        handles
+            .iter()
+            .map(|h| self.outcome(h).map(|o| (o.owner, o.hops)))
+            .collect()
     }
 
     /// Fraction of up nodes whose best successor is the correct ring
@@ -614,14 +624,13 @@ impl ChordCluster {
         } else {
             Some(self.addrs[0].as_str())
         };
-        let host = chord::build_node_for(addr, landmark, self.seed, self.chord_opts())
-            .expect("chord node plans");
+        let host = chord_host(addr, landmark, self.seed, self.opts, self.scheduling);
         self.sim.replace_node(addr, host);
         // A replacement node starts with a fresh engine: re-arm the cluster's
         // observability (and any active trace tag) so its counters and trace
         // ring keep participating in cluster-wide aggregation.
         if self.obs_enabled {
-            let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+            let meta = chord::shared_plan_for(self.opts).obs_meta();
             let tag = self.trace_tag.clone();
             if let Some(host) = self.sim.node_mut(addr) {
                 host.node_mut().enable_obs(meta);
@@ -688,7 +697,7 @@ impl ChordCluster {
     /// steady state, not bring-up. Tracing stays off until
     /// [`ChordCluster::issue_traced_lookup`] arms a tag.
     pub fn enable_observability(&mut self) {
-        let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+        let meta = chord::shared_plan_for(self.opts).obs_meta();
         let addrs = self.addrs.clone();
         for addr in &addrs {
             if let Some(host) = self.sim.node_mut(addr) {
@@ -762,7 +771,7 @@ impl ChordCluster {
     /// The cluster-wide rule-level profile: per-rule invocation and
     /// wasted-poke counters bucketed by the static `RuleClass` analysis.
     pub fn obs_report(&self) -> p2_obs::ProfileReport {
-        let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+        let meta = chord::shared_plan_for(self.opts).obs_meta();
         p2_obs::build_report(&meta, &self.obs_counters())
     }
 }

@@ -69,9 +69,6 @@ pub struct EngineOps {
     pub timers_fired: u64,
     /// Tuples handed to the network.
     pub sent: u64,
-    /// Refresh pokes dropped by the planner's static suppression masks
-    /// (delta-driven scheduling; the strand never ran).
-    pub suppressed_refresh_pokes: u64,
     /// Pending pokes dropped by the dynamic `would_wake` guard at drain
     /// time (the strand proved the invocation a no-op without running it).
     pub suppressed_guard_pokes: u64,
@@ -85,7 +82,6 @@ impl EngineOps {
         self.dropped_no_entry += s.dropped_no_entry;
         self.timers_fired += s.timers_fired;
         self.sent += s.sent;
-        self.suppressed_refresh_pokes += s.suppressed_refresh_pokes;
         self.suppressed_guard_pokes += s.suppressed_guard_pokes;
     }
 }

@@ -49,7 +49,10 @@ fn trace_and_profile_are_identical_across_worker_counts() {
     }
 }
 
-/// The wasted-poke audit in both scheduling regimes. With the delta
+/// The wasted-poke audit in both scheduling regimes, on the default
+/// lowering (the scheduler-off ring keeps the default's elements and only
+/// turns the engines' wake guards off, so the two element graphs — and
+/// their poke counts — are comparable). With the delta
 /// scheduler off, the historical PR 9 claim holds: refresh-transparent
 /// rules carry the bulk of the ran-and-wasted pokes. With the scheduler on
 /// (the default), those same invocations are counted as suppressed-never-ran
@@ -61,7 +64,7 @@ fn trace_and_profile_are_identical_across_worker_counts() {
 fn wasted_poke_audit_matches_rule_classification() {
     let profile = |schedule: bool| {
         let mut cluster = ChordCluster::builder(16, 23)
-            .delta_schedule(schedule)
+            .scheduling(schedule)
             .build_fast(120);
         cluster.enable_observability();
         cluster.run_for(60.0);

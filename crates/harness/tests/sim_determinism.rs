@@ -8,7 +8,7 @@
 
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_harness::ChordCluster;
-use p2_value::{Tuple, Uint160};
+use p2_value::Tuple;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -31,14 +31,20 @@ fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
     measure(ChordCluster::build(n, warmup, seed))
 }
 
-/// The historical golden run: delta-driven scheduling off, i.e. the
-/// poke-everything engine every pin before PR 10 was captured on.
-fn ring_stats_unscheduled(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
-    measure(
-        ChordCluster::builder(n, seed)
-            .delta_schedule(false)
-            .build(warmup),
-    )
+/// The golden run in the reference lowering (generic chains, rescanning
+/// probes, no views, scheduling off), sequentially or on `workers` shards.
+fn ring_stats_reference(
+    n: usize,
+    warmup: u64,
+    seed: u64,
+    workers: Option<usize>,
+) -> (u64, u64, u64, u64, u64) {
+    let builder = ChordCluster::builder(n, seed).reference(true);
+    let builder = match workers {
+        None => builder,
+        Some(w) => builder.par_threads(w),
+    };
+    measure(builder.build(warmup))
 }
 
 fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64, u64, u64, u64) {
@@ -52,10 +58,10 @@ fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64
 /// The golden NetStats + event-count pin for `build(100, 120, 42)`.
 ///
 /// Captured on the pre-refactor (PR 1) simulator and reproduced bit-for-bit
-/// by every engine overhaul since (PR 2 NodeId/timer index, PR 3 compiled
-/// adjacency, PR 6 strands, PR 7 views, PR 10 delta scheduling). The PR 10
-/// re-baseline kept the numbers identical on purpose: the scheduler only
-/// suppresses pokes whose invocations are provable no-ops, so the message
+/// by every engine overhaul since (NodeId/timer index, compiled adjacency,
+/// strands, views, delta scheduling) and by the reference lowering, which
+/// has none of them: the default lowering's optimizations only skip or
+/// reorganize work whose outcome is proved identical, so the message
 /// stream — and therefore this pin — must not move. Update only for a
 /// deliberate semantic change, and update `docs/golden-pins.md` with it.
 const GOLDEN_100: (u64, u64, u64, u64, u64) = (29_634, 29_638, 0, 2_787_660, 31_838);
@@ -75,24 +81,25 @@ fn hundred_node_ring_matches_golden_stats() {
     eprintln!("100-node ring stats: {a:?}");
     assert_eq!(
         a, GOLDEN_100,
-        "fixed-seed run (delta scheduling on) diverged from the golden pin"
+        "fixed-seed run (default lowering) diverged from the golden pin"
     );
     let b = ring_stats(100, 120, 42);
     assert_eq!(a, b, "same seed must give identical NetStats across runs");
 }
 
-/// The scheduler-off escape hatch reproduces the historical poke-everything
-/// engine — and therefore the historical pin — exactly. This is the other
-/// half of the PR 10 re-baseline: `delta_schedule(false)` is not "mostly
-/// the same", it is the bit-for-bit old behaviour.
+/// The reference lowering reproduces the pin exactly, sequentially and on
+/// every worker count: it is the oracle the default lowering is compared
+/// against, so it must itself be the historical behaviour bit for bit.
 #[test]
-fn unscheduled_ring_matches_golden_stats() {
-    let a = ring_stats_unscheduled(100, 120, 42);
-    eprintln!("100-node ring stats (scheduler off): {a:?}");
-    assert_eq!(
-        a, GOLDEN_100,
-        "fixed-seed run with delta scheduling off diverged from the golden pin"
-    );
+fn reference_ring_matches_golden_stats() {
+    for workers in [None, Some(1), Some(2), Some(4)] {
+        let a = ring_stats_reference(100, 120, 42, workers);
+        eprintln!("100-node ring stats (reference lowering, {workers:?} workers): {a:?}");
+        assert_eq!(
+            a, GOLDEN_100,
+            "reference-lowering run ({workers:?} workers) diverged from the golden pin"
+        );
+    }
 }
 
 /// The observability layer must be a pure observer: with the rule-level
@@ -181,7 +188,7 @@ fn scheduled_pin_is_worker_invariant() {
                 s.bytes_sent,
                 cluster.sim.events_processed() - events_before,
             ),
-            engine.suppressed_refresh_pokes + engine.suppressed_guard_pokes,
+            engine.suppressed_guard_pokes,
         )
     };
     let (pin, suppressed) = run(None);
@@ -252,115 +259,81 @@ fn worker_counts_agree_on_ring_state_and_stats() {
     );
 }
 
-/// The full per-node routing state of every up node: successor lists,
-/// finger tables, predecessors and best-successor pointers, as sorted
-/// display rows. Two runs with equal digests hold bit-identical ring state.
-fn routing_state(cluster: &ChordCluster) -> Vec<(String, Vec<Vec<String>>)> {
-    cluster
-        .sim
-        .up_addresses_iter()
-        .map(|a| {
-            let tables = ["succ", "pred", "bestSucc", "finger"]
-                .iter()
-                .map(|t| cluster.table_rows(a, t))
-                .collect();
-            (a.to_string(), tables)
-        })
-        .collect()
-}
-
-/// Deterministic lookup workload: the same keys from the same origins on
-/// both clusters, compared by `(owner, hops)`.
-fn lookup_outcomes(cluster: &mut ChordCluster, n_lookups: usize) -> Vec<Option<(String, usize)>> {
-    let origins: Vec<String> = cluster.up_addrs();
-    let handles: Vec<_> = (0..n_lookups)
-        .map(|i| {
-            let origin = origins[i % origins.len()].clone();
-            let key = Uint160::hash_of(format!("sched-gate-key-{i}").as_bytes());
-            cluster.issue_lookup_from(&origin, key)
-        })
-        .collect();
-    cluster.run_for(30.0);
-    handles
-        .iter()
-        .map(|h| cluster.outcome(h).map(|o| (o.owner, o.hops)))
-        .collect()
-}
-
-/// The tentpole equivalence statement, checked on state rather than
-/// traffic: a delta-scheduled ring and a poke-everything ring must agree on
-/// the complete final routing state (succ/finger/pred/bestSucc rows of
-/// every node), both must form a single cycle, and a deterministic lookup
+/// The lowering equivalence, checked on state rather than traffic: a
+/// default-lowered ring and a reference-lowered ring must agree on the
+/// complete final routing state (succ/finger/pred/bestSucc rows of every
+/// node), both must form a single cycle, and a deterministic lookup
 /// workload must resolve to the same owners over the same hop counts.
 #[test]
-fn scheduler_on_and_off_agree_on_ring_state_and_lookups() {
-    let build = |schedule: bool| {
+fn default_and_reference_agree_on_ring_state_and_lookups() {
+    let build = |reference: bool| {
         ChordCluster::builder(48, 7)
-            .delta_schedule(schedule)
+            .reference(reference)
             .build_fast(180)
     };
-    let mut on = build(true);
-    let mut off = build(false);
-    on.run_for(60.0);
-    off.run_for(60.0);
-    on.assert_single_cycle();
-    off.assert_single_cycle();
+    let mut default = build(false);
+    let mut reference = build(true);
+    default.run_for(60.0);
+    reference.run_for(60.0);
+    default.assert_single_cycle();
+    reference.assert_single_cycle();
     assert_eq!(
-        routing_state(&on),
-        routing_state(&off),
-        "delta scheduling changed the final routing state"
+        default.routing_state(),
+        reference.routing_state(),
+        "the default lowering changed the final routing state"
     );
-    let on_lookups = lookup_outcomes(&mut on, 24);
-    let off_lookups = lookup_outcomes(&mut off, 24);
+    let default_lookups = default.probe_lookups(24);
+    let reference_lookups = reference.probe_lookups(24);
     assert!(
-        on_lookups.iter().all(Option::is_some),
-        "scheduled run dropped lookups: {on_lookups:?}"
+        default_lookups.iter().all(Option::is_some),
+        "default-lowered run dropped lookups: {default_lookups:?}"
     );
     assert_eq!(
-        on_lookups, off_lookups,
-        "delta scheduling changed lookup owners or hop counts"
+        default_lookups, reference_lookups,
+        "the default lowering changed lookup owners or hop counts"
     );
-    // The comparison is only meaningful if the scheduler actually did
-    // something on the `on` ring.
-    let engine = on.engine_stats();
+    // The comparison is only meaningful if the default ring's scheduler
+    // actually did something and the reference ring's did not.
     assert!(
-        engine.suppressed_refresh_pokes + engine.suppressed_guard_pokes > 0,
-        "scheduler-on ring suppressed no pokes"
+        default.engine_stats().suppressed_guard_pokes > 0,
+        "default-lowered ring suppressed no pokes"
     );
+    assert_eq!(reference.engine_stats().suppressed_guard_pokes, 0);
 }
 
-// Property form of the scheduler equivalence gate: for arbitrary small
-// rings and seeds, delta scheduling must not change the final
-// best-successor cycle or the routing-table contents. Each case builds and
-// runs two full clusters, so the case budget is deliberately small; the
-// seeds still vary ring size, hash layout and event interleaving far beyond
-// the pinned deterministic tests. (The vendored `proptest!` macro accepts
-// no doc comments on the test fn, hence the plain comment.)
+// Property form of the lowering equivalence gate: for arbitrary small
+// rings and seeds, the default lowering must not change the final
+// best-successor cycle or the routing-table contents relative to the
+// reference. Each case builds and runs two full clusters, so the case
+// budget is deliberately small; the seeds still vary ring size, hash
+// layout and event interleaving far beyond the pinned deterministic tests.
+// (The vendored `proptest!` macro accepts no doc comments on the test fn,
+// hence the plain comment.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn scheduler_equivalence_holds_for_arbitrary_seeds(
+    fn lowering_equivalence_holds_for_arbitrary_seeds(
         n in 8usize..20,
         seed in 0u64..u64::MAX,
     ) {
-        let build = |schedule: bool| {
+        let build = |reference: bool| {
             ChordCluster::builder(n, seed)
-                .delta_schedule(schedule)
+                .reference(reference)
                 .build_fast(120)
         };
-        let mut on = build(true);
-        let mut off = build(false);
-        on.run_for(30.0);
-        off.run_for(30.0);
+        let mut default = build(false);
+        let mut reference = build(true);
+        default.run_for(30.0);
+        reference.run_for(30.0);
         prop_assert_eq!(
-            routing_state(&on),
-            routing_state(&off),
-            "delta scheduling changed the final routing state (n={}, seed={})",
+            default.routing_state(),
+            reference.routing_state(),
+            "the default lowering changed the final routing state (n={}, seed={})",
             n,
             seed
         );
-        prop_assert_eq!(on.is_single_cycle(), off.is_single_cycle());
+        prop_assert_eq!(default.is_single_cycle(), reference.is_single_cycle());
     }
 }
 

@@ -189,8 +189,8 @@ pub struct ElemCounters {
     /// Pokes (invocations of a pokeable element) with zero emissions, zero
     /// sends and zero state change.
     pub wasted_pokes: u64,
-    /// Pokes the delta-driven scheduler suppressed before the element ran
-    /// (static refresh mask or dynamic wake guard). Counted separately
+    /// Pokes the delta-driven scheduler's wake guard suppressed before the
+    /// element ran. Counted separately
     /// from `wasted_pokes`, which only covers invocations that actually
     /// happened and wasted — with scheduling on the audit stays
     /// meaningful: would-have-wasted work shows up here instead.
@@ -426,8 +426,7 @@ impl NodeObs {
     }
 
     /// Records one poke of element `idx` suppressed by the delta-driven
-    /// scheduler (static refresh mask or dynamic wake guard) before the
-    /// element ran.
+    /// scheduler's wake guard before the element ran.
     #[inline]
     pub fn record_suppressed(&mut self, idx: usize) {
         self.counters[idx].suppressed_pokes += 1;

@@ -37,23 +37,17 @@ pub fn program_with_join_seed() -> &'static Program {
 }
 
 /// Plan-variant selection for a Chord node: periodic jitter, the JS1
-/// join-seeding program extension, rule-strand fusion, and incremental view
-/// materialization (both on by default; the generic element graph is kept
-/// for the strand- and view-equivalence gates).
+/// join-seeding program extension, and the lowering (the default one, or
+/// the reference lowering kept as the equivalence oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChordOpts {
     /// Whether periodic sources start at a random phase.
     pub jitter: bool,
     /// Whether the JS1/JS2 join-time successor-seeding rules are included.
     pub join_seed: bool,
-    /// Whether eligible rule strands are compiled into fused elements.
-    pub fuse_strands: bool,
-    /// Whether pure table-join rules are lowered to materialized views and
-    /// eligible aggregate probes maintain delta-fed per-group state.
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling suppresses provably no-op
-    /// pokes (refresh-masked strand entries plus `would_wake` guards).
-    pub delta_schedule: bool,
+    /// Whether the node runs the reference lowering
+    /// ([`PlanConfig::reference`]) instead of the default one.
+    pub reference: bool,
 }
 
 impl Default for ChordOpts {
@@ -61,9 +55,7 @@ impl Default for ChordOpts {
         ChordOpts {
             jitter: true,
             join_seed: false,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            reference: false,
         }
     }
 }
@@ -72,9 +64,7 @@ impl ChordOpts {
     fn cache_index(self) -> usize {
         usize::from(self.jitter)
             | (usize::from(self.join_seed) << 1)
-            | (usize::from(self.fuse_strands) << 2)
-            | (usize::from(self.materialize_views) << 3)
-            | (usize::from(self.delta_schedule) << 4)
+            | (usize::from(self.reference) << 2)
     }
 }
 
@@ -97,26 +87,19 @@ pub fn shared_plan_opts(jitter: bool, join_seed: bool) -> &'static PlannedProgra
 }
 
 /// The fully variant-selected shared plan: one cached compilation per
-/// (jitter, join_seed, fuse_strands, materialize_views, delta_schedule)
-/// combination.
+/// (jitter, join_seed, reference) combination.
 pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
     #[allow(clippy::declare_interior_mutable_const)]
     const PLAN_CELL: OnceLock<PlannedProgram> = OnceLock::new();
-    static PLANS: [OnceLock<PlannedProgram>; 32] = [PLAN_CELL; 32];
+    static PLANS: [OnceLock<PlannedProgram>; 8] = [PLAN_CELL; 8];
     let cell = &PLANS[opts.cache_index()];
     cell.get_or_init(|| {
         let mut config = PlanConfig::new().watch("lookupResults").watch("lookup");
         if !opts.jitter {
             config = config.without_jitter();
         }
-        if !opts.fuse_strands {
-            config = config.without_fusion();
-        }
-        if !opts.materialize_views {
-            config = config.without_views();
-        }
-        if !opts.delta_schedule {
-            config = config.without_scheduling();
+        if opts.reference {
+            config = config.reference();
         }
         let program = if opts.join_seed {
             program_with_join_seed()
@@ -307,17 +290,10 @@ mod tests {
         // single-join/select-project shapes plus the two-join rules L1,
         // SU2, SB4, SB8, SB9, J2, J3, and S4).
         assert!(
-            fused.fused_strand_count() >= 28,
+            fused.fused_strand_count() >= 31,
             "only {} strands fused",
             fused.fused_strand_count()
         );
-        let generic = shared_plan_for(ChordOpts {
-            jitter: false,
-            fuse_strands: false,
-            ..ChordOpts::default()
-        });
-        assert_eq!(generic.fused_strand_count(), 0);
-        assert!(!std::ptr::eq(fused, generic));
         // Aggregate rules (L2/L3, SU1, S3) keep the generic chain; the hot
         // ping-refresh rule CM8 fuses.
         let desc = fused.instantiate("n1", 1).engine.describe();
@@ -341,35 +317,31 @@ mod tests {
         for rule in ["SU0", "SU3", "S2", "F2", "CM2", "CM3"] {
             assert!(desc.contains(&format!("{rule}:view")), "{rule} not a view");
         }
-        // The escape hatch keeps the rescanning translation available.
-        let plain = shared_plan_for(ChordOpts {
-            jitter: false,
-            materialize_views: false,
-            ..ChordOpts::default()
-        });
-        assert_eq!(plain.mat_view_count(), 0);
-        assert!(!std::ptr::eq(viewed, plain));
     }
 
     #[test]
-    fn delta_scheduling_proves_chord_refresh_cascades_load_bearing() {
-        // The planner's transitive TTL-neutrality fixpoint masks *no*
-        // Chord strand entry: every refresh cascade in the program
-        // sustains soft state (succ refreshes keep bestSucc→finger[0]
-        // alive, succ/pred feed the 10-second pingNode table, …), so the
-        // static refresh masks stay empty and the scheduling win comes
-        // entirely from the dynamic `would_wake` guards. The scheduler-off
-        // escape hatch is a distinct cached plan.
-        let scheduled = shared_plan(false);
-        assert!(scheduled.delta_scheduled());
-        assert_eq!(scheduled.refresh_mask_count(), 0);
-        let unscheduled = shared_plan_for(ChordOpts {
-            jitter: false,
-            delta_schedule: false,
-            ..ChordOpts::default()
-        });
-        assert!(!unscheduled.delta_scheduled());
-        assert!(!std::ptr::eq(scheduled, unscheduled));
+    fn reference_plan_is_the_reference() {
+        // The equivalence gates compare the default lowering against this
+        // plan, so it must share none of the default's optimizations —
+        // otherwise a gate could pass by comparing the default with itself.
+        let default = shared_plan(false);
+        assert!(default.fused_strand_count() >= 31);
+        assert!(default.mat_view_count() >= 6);
+        assert!(default.delta_fed_probe_count() > 0);
+        assert!(default.instantiate("n1", 1).engine.scheduling());
+
+        for join_seed in [false, true] {
+            let reference = shared_plan_for(ChordOpts {
+                jitter: false,
+                join_seed,
+                reference: true,
+            });
+            assert_eq!(reference.fused_strand_count(), 0);
+            assert_eq!(reference.mat_view_count(), 0);
+            assert_eq!(reference.delta_fed_probe_count(), 0);
+            assert!(!reference.instantiate("n1", 1).engine.scheduling());
+            assert!(!std::ptr::eq(default, reference));
+        }
     }
 
     #[test]
